@@ -9,9 +9,10 @@ Figure 1.  This module computes all three from a pair of schedules.
 Two implementation paths coexist:
 
 * the **reference** path (:func:`compare_schedules`,
-  :func:`schedule_statistics`) materializes per-packet lists and computes
-  exact percentiles — what every existing experiment row and golden fixture
-  pins, bit for bit;
+  :func:`schedule_statistics`) makes one pass over the schedules'
+  :class:`~repro.core.schedule.FlatSchedule` columns, keeps per-packet lists
+  and computes exact percentiles — what every existing experiment row and
+  golden fixture pins, bit for bit;
 * the **streaming** path (:class:`StreamingScheduleStatistics`,
   :class:`StreamingReplayComparison`) folds records one at a time into
   mergeable accumulators — exact count/sum/max fields, sketch-based
@@ -160,48 +161,62 @@ def compare_schedules(
             overdue (floating-point guard, default 1 ns).
     """
     metrics = ReplayMetrics(threshold=threshold)
-    lateness_total = 0.0
+    # One pass over the columns.  Rows follow each schedule's insertion
+    # order, exactly as record iteration would, so the lateness sum and the
+    # ratio list come out in the same order, bit for bit.
+    columns = original.flat()
+    replayed = replay.flat()
+    replay_row = replayed.index().get
+    replay_output = replayed.output_time
+    replay_queueing = replayed.queueing_delays()
+    ratios = metrics.queueing_delay_ratios
+    missing = overdue = beyond = 0
+    lateness_total = max_lateness = 0.0
     # Deadlines are *flow*-completion targets: a flow meets its deadline only
     # if its last packet does, so deadline accounting aggregates per flow id
     # as [deadline, last original output, last replay output, any missing].
     deadline_flows: Dict[int, List[float]] = {}
 
-    for record in original:
-        metrics.total_packets += 1
-        replayed = replay.get(record.packet_id)
-        if record.deadline is not None:
+    for packet_id, flow_id, output_time, deadline, original_queueing in zip(
+        columns.packet_id,
+        columns.flow_id,
+        columns.output_time,
+        columns.deadline,
+        columns.queueing_delays(),
+    ):
+        row = replay_row(packet_id)
+        if deadline is not None:
             entry = deadline_flows.setdefault(
-                record.flow_id, [record.deadline, -math.inf, -math.inf, False]
+                flow_id, [deadline, -math.inf, -math.inf, False]
             )
-            entry[1] = max(entry[1], record.output_time)
-            if replayed is None:
+            entry[1] = max(entry[1], output_time)
+            if row is None:
                 entry[3] = True
             else:
-                entry[2] = max(entry[2], replayed.output_time)
-        if replayed is None:
-            metrics.missing_packets += 1
-            metrics.overdue_count += 1
-            metrics.overdue_beyond_threshold_count += 1
+                entry[2] = max(entry[2], replay_output[row])
+        if row is None:
+            missing += 1
             continue
-        lateness = replayed.output_time - record.output_time
+        lateness = replay_output[row] - output_time
         if lateness > tolerance:
-            metrics.overdue_count += 1
+            overdue += 1
             if lateness > threshold:
-                metrics.overdue_beyond_threshold_count += 1
+                beyond += 1
             lateness_total += lateness
-            metrics.max_lateness = max(metrics.max_lateness, lateness)
-
-        original_queueing = record.total_queueing_delay
+            max_lateness = max(max_lateness, lateness)
         if original_queueing > 0:
-            metrics.queueing_delay_ratios.append(
-                replayed.total_queueing_delay / original_queueing
-            )
+            ratios.append(replay_queueing[row] / original_queueing)
 
-    for deadline, original_last, replay_last, missing in deadline_flows.values():
+    metrics.total_packets = len(columns)
+    metrics.missing_packets = missing
+    metrics.overdue_count = overdue + missing
+    metrics.overdue_beyond_threshold_count = beyond + missing
+    metrics.max_lateness = max_lateness
+    for deadline, original_last, replay_last, missing_any in deadline_flows.values():
         metrics.deadline_total += 1
         if original_last <= deadline + tolerance:
             metrics.deadline_met_original += 1
-        if not missing:
+        if not missing_any:
             metrics.deadline_flows_delivered += 1
             if replay_last <= deadline + tolerance:
                 metrics.deadline_met_replay += 1
@@ -266,12 +281,20 @@ def schedule_statistics(schedule: Schedule, tolerance: float = 1e-9) -> Schedule
     # order: float summation is order-sensitive, and a schedule loaded from
     # the cache is inserted in sorted order while a freshly recorded one is
     # inserted in delivery order — the mean must be bit-identical either way.
-    for record in schedule.records():
-        stats.packets += 1
-        delays.append(record.network_delay)
-        if record.deadline is not None:
-            entry = deadline_flows.setdefault(record.flow_id, [record.deadline, -math.inf])
-            entry[1] = max(entry[1], record.output_time)
+    columns = schedule.flat()
+    ingress, output, flows, deadlines = (
+        columns.ingress_time,
+        columns.output_time,
+        columns.flow_id,
+        columns.deadline,
+    )
+    for row in columns.canonical_order() or range(len(columns)):
+        delays.append(output[row] - ingress[row])
+        deadline = deadlines[row]
+        if deadline is not None:
+            entry = deadline_flows.setdefault(flows[row], [deadline, -math.inf])
+            entry[1] = max(entry[1], output[row])
+    stats.packets = len(delays)
     if delays:
         stats.mean_delay = sum(delays) / len(delays)
         stats.p99_delay = percentile(delays, 99)
@@ -462,6 +485,10 @@ class StreamingReplayComparison:
         alpha: float = QuantileSketch.DEFAULT_ALPHA,
     ) -> None:
         self.replay = replay
+        replayed = replay.flat()
+        self._replay_row = replayed.index().get
+        self._replay_output = replayed.output_time
+        self._replay_queueing = replayed.queueing_delays()
         self.threshold = threshold
         self.tolerance = tolerance
         self.total_packets = 0
@@ -478,22 +505,22 @@ class StreamingReplayComparison:
     def add(self, record: PacketRecord) -> None:
         """Fold one *original* record, matching it against the replay."""
         self.total_packets += 1
-        replayed = self.replay.get(record.packet_id)
+        row = self._replay_row(record.packet_id)
         if record.deadline is not None:
             entry = self._deadline_flows.setdefault(
                 record.flow_id, [record.deadline, -math.inf, -math.inf, False]
             )
             entry[1] = max(entry[1], record.output_time)
-            if replayed is None:
+            if row is None:
                 entry[3] = True
             else:
-                entry[2] = max(entry[2], replayed.output_time)
-        if replayed is None:
+                entry[2] = max(entry[2], self._replay_output[row])
+        if row is None:
             self.missing_packets += 1
             self.overdue_count += 1
             self.overdue_beyond_threshold_count += 1
             return
-        lateness = replayed.output_time - record.output_time
+        lateness = self._replay_output[row] - record.output_time
         if lateness > self.tolerance:
             self.overdue_count += 1
             if lateness > self.threshold:
@@ -502,7 +529,7 @@ class StreamingReplayComparison:
             self.max_lateness = max(self.max_lateness, lateness)
         original_queueing = record.total_queueing_delay
         if original_queueing > 0:
-            self.ratios.add(replayed.total_queueing_delay / original_queueing)
+            self.ratios.add(self._replay_queueing[row] / original_queueing)
 
     def extend(self, records: Iterable[PacketRecord]) -> None:
         """Fold many original records (e.g. one shard's cursor)."""

@@ -2,7 +2,7 @@
 
 Same orchestration as the ``"vectorized"`` backend — numpy batch precompute
 of every per-hop float (exact ``bytes * 8 / bw`` forms), cached flattening,
-bulk schedule rebuild — but the inner event loop runs in the compiled
+a columnar result — but the inner event loop runs in the compiled
 kernel extension (:mod:`repro.sim._kernel`, a hand-written CPython C
 extension transliterating :func:`repro.sim.vectorized.run_flat_replay`; see
 ``_kernel.c`` for the bit-identity argument).  The backend therefore
@@ -15,7 +15,7 @@ Availability is a *build* question, not an install question: the extension
 is an optional build (``setup.py`` marks it ``optional=True``), so
 environments without a C toolchain simply never have it.
 :meth:`CompiledBackend.check_available` reports the precise reason
-(missing numpy, or the unbuilt kernel with build instructions) via
+(the unbuilt kernel, with build instructions) via
 ``PipelineConfigError`` — CLI exit 2 — and ``replay_schedule`` falls back
 per the seam contract everywhere the backend is not explicitly selected.
 """
@@ -52,8 +52,7 @@ class CompiledBackend(VectorizedBackend):
     )
 
     def check_available(self) -> None:
-        """Missing numpy *or* an unbuilt kernel extension both decline."""
-        super().check_available()  # numpy (shared with vectorized)
+        """An unbuilt kernel extension declines."""
         if not kernel_available():
             raise _config_error(f"backend 'compiled' is unavailable: {unavailable_reason()}")
 

@@ -30,10 +30,10 @@ Header initializers must be pure functions of ``(record, network)`` (every
 shipped initializer is): they are evaluated upfront here, not interleaved
 with the simulation as on the python backend.
 
-numpy is this backend's only dependency; it is declared as the
-``[vectorized]`` extra in ``pyproject.toml`` and its absence surfaces as a
-:class:`~repro.pipeline.scenario.PipelineConfigError` (CLI exit 2) the
-moment the backend is explicitly selected.
+The backend is columnar end to end: it reads the original schedule's
+:class:`~repro.core.schedule.FlatSchedule` columns and returns a
+:class:`~repro.core.schedule.Schedule` backed by the kernel's output
+arrays, so a replay builds no per-packet objects.
 """
 
 from __future__ import annotations
@@ -42,16 +42,14 @@ import gc
 import math
 import weakref
 from functools import reduce as _reduce
-from operator import add as _add
+from itertools import accumulate, chain, repeat
+from operator import add as _add, itemgetter
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from repro.core.replay import replay_initializer, replay_scheduler_factory
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.schedule import FlatSchedule, Schedule
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     DeadlineSlackInitializer,
@@ -76,28 +74,32 @@ def _config_error(message: str) -> Exception:
 
 
 #: Per-schedule flattening cache.  The flat view below depends only on the
-#: schedule's records and the topology's link parameters — not on the replay
-#: mode or initializer — and the pipeline's whole shape is record once,
-#: replay many (one recorded schedule drives every candidate mode and
+#: schedule's columns and the topology's link parameters — not on the
+#: replay mode or initializer — and the pipeline's whole shape is record
+#: once, replay many (one recorded schedule drives every candidate mode and
 #: replicate), so the flattening is reused across replays of the same
 #: schedule.  Keys are weak: a dropped schedule drops its arrays.  Entries
-#: are validated against ``Schedule._version`` (bumped on every ``add``) and
-#: the freshly derived link parameters, so a hit is exact, never heuristic.
+#: are validated against the schedule's current columns (a schedule that
+#: grows gets new ones) and the freshly derived link parameters, so a hit
+#: is exact, never heuristic.
 _FLATTEN_CACHE: "weakref.WeakKeyDictionary[Schedule, tuple]" = (
     weakref.WeakKeyDictionary()
 )
+
+#: A path's transit nodes: every node but the destination.
+_TRANSIT = itemgetter(slice(None, -1))
 
 
 def _flatten(topology: Topology, schedule: Schedule) -> tuple:
     """Mode-independent flat view of ``(topology, schedule)``.
 
-    Returns ``(records, ingress, off, hop_pkt, hop_port, hop_tx, hop_prop,
-    hop_sum, num_ports)``; see :meth:`VectorizedBackend.replay` for the
-    meaning of each array.  All returned arrays are treated as read-only by
-    the callers (the kernel writes only into per-call output arrays), which
-    is what makes caching them sound.
+    Returns ``(canon, off, hop_pkt, hop_port, hop_tx, hop_prop, hop_sum,
+    hop_node, num_ports)``: ``canon`` is the schedule's columns in
+    canonical ``(ingress_time, packet_id)`` order, the replay's row order;
+    see :meth:`VectorizedBackend.replay` for the other arrays.  All returned
+    arrays are treated as read-only by the callers (the kernel writes only
+    into per-call output arrays), which is what makes caching them sound.
     """
-    np = _np
     # ---- link parameters straight from the declarative specs ----
     # The flat loop needs only per-hop (bandwidth, propagation); the specs
     # carry exactly the floats ``topology.build`` would hand the Link
@@ -110,61 +112,51 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
         link_params[(spec.a, spec.b)] = params
         link_params[(spec.b, spec.a)] = params
 
+    columns = schedule.flat()
     cached = _FLATTEN_CACHE.get(schedule)
-    if cached is not None:
-        version, count, params, flat = cached
-        if (
-            version == schedule._version
-            and count == len(schedule)
-            and params == link_params
-        ):
-            return flat
+    if cached is not None and cached[0] is columns and cached[1] == link_params:
+        return cached[2]
 
-    records = schedule.records()
+    canon = columns.canonical()
+    paths = canon.path
 
     # ---- flatten packet-hops: ports, delays (vectorized), offsets ----
-    # Replay traffic is flow-structured, so routes repeat heavily; the
-    # per-route port-id cache turns per-hop dict/link lookups into one
-    # tuple lookup per packet.
+    # Replay traffic is flow-structured, so routes repeat heavily: port ids
+    # are resolved once per distinct route, and every per-packet array is
+    # then assembled from those in C.
     port_ids: Dict[Tuple[str, str], int] = {}
     route_pids: Dict[Tuple[str, ...], List[int]] = {}
     bandwidths: List[float] = []
     propagations: List[float] = []
-    hop_pkt: List[int] = []
-    hop_port: List[int] = []
-    off: List[int] = [0]
-    total = 0
-    for j, record in enumerate(records):
-        route_key = tuple(record.path)
-        pids = route_pids.get(route_key)
-        if pids is None:
-            pids = []
-            for k in range(len(route_key) - 1):
-                hop = (route_key[k], route_key[k + 1])
-                pid = port_ids.get(hop)
-                if pid is None:
-                    try:
-                        bw, prop = link_params[hop]
-                    except KeyError:
-                        raise ValueError(
-                            f"replayed path of packet {record.packet_id} "
-                            f"crosses {hop[0]!r}->{hop[1]!r}, which is not "
-                            f"a link of topology {topology.name!r}"
-                        ) from None
-                    pid = len(bandwidths)
-                    port_ids[hop] = pid
-                    bandwidths.append(bw)
-                    propagations.append(prop)
-                pids.append(pid)
-            route_pids[route_key] = pids
-        hop_port.extend(pids)
-        hop_pkt.extend([j] * len(pids))
-        total += len(pids)
-        off.append(total)
+    for route in dict.fromkeys(paths):
+        pids = []
+        for hop in zip(route, route[1:]):
+            pid = port_ids.get(hop)
+            if pid is None:
+                try:
+                    bw, prop = link_params[hop]
+                except KeyError:
+                    # Routes are visited in first-use order, so this names
+                    # the first packet crossing a missing link.
+                    raise ValueError(
+                        f"replayed path of packet {canon.packet_id[paths.index(route)]} "
+                        f"crosses {hop[0]!r}->{hop[1]!r}, which is not "
+                        f"a link of topology {topology.name!r}"
+                    ) from None
+                pid = len(bandwidths)
+                port_ids[hop] = pid
+                bandwidths.append(bw)
+                propagations.append(prop)
+            pids.append(pid)
+        route_pids[route] = pids
+    packet_pids = list(map(route_pids.__getitem__, paths))
+    hop_port = list(chain.from_iterable(packet_pids))
+    counts = list(map(len, packet_pids))
+    off = list(accumulate(counts, initial=0))
+    hop_pkt = list(chain.from_iterable(map(repeat, range(len(paths)), counts)))
 
-    sizes = np.array([r.size_bytes for r in records], dtype=np.float64)
+    sizes = np.array(canon.size_bytes, dtype=np.float64)
     hop_port_arr = np.array(hop_port, dtype=np.intp)
-    counts = np.diff(np.array(off, dtype=np.intp))
     bw_arr = np.array(bandwidths, dtype=np.float64)
     prop_arr = np.array(propagations, dtype=np.float64)
     # Exactly Link.transmission_delay: ``size_bytes * 8 / bandwidth_bps``
@@ -176,20 +168,21 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
     # Per-hop (tx + prop): elementwise, so each sum is the same float the
     # OO code computes; folds downstream then add them in the same order.
     hop_sum = (hop_tx_arr + hop_prop_arr).tolist()
-    ingress = [r.ingress_time for r in records]
+    # The node each hop departs from, for the replayed schedule's hops.
+    hop_node = list(chain.from_iterable(map(_TRANSIT, paths)))
 
     flat = (
-        records,
-        ingress,
+        canon,
         off,
         hop_pkt,
         hop_port,
         hop_tx,
         hop_prop,
         hop_sum,
+        hop_node,
         len(bandwidths),
     )
-    _FLATTEN_CACHE[schedule] = (schedule._version, len(schedule), link_params, flat)
+    _FLATTEN_CACHE[schedule] = (columns, link_params, flat)
     return flat
 
 
@@ -211,19 +204,11 @@ class VectorizedBackend(SimBackend):
         """The flat event loop this backend drives.
 
         The seam the ``"compiled"`` backend overrides: everything else —
-        flattening, batch header initialization, schedule rebuild — is
+        flattening, batch header initialization, the columnar result — is
         shared orchestration, so a backend swaps engines by swapping this
         one call (:mod:`repro.core.replay_compiled`).
         """
         return run_flat_replay(*args, **kwargs)
-
-    def check_available(self) -> None:
-        if _np is None:
-            raise _config_error(
-                "backend 'vectorized' requires numpy, which is not installed; "
-                "install the [vectorized] extra (pip install 'repro-ups[vectorized]') "
-                "or select --backend python"
-            )
 
     def supports_replay(
         self,
@@ -241,8 +226,7 @@ class VectorizedBackend(SimBackend):
         decline for the same reason — the flat loop has no drop path.
         """
         return (
-            _np is not None
-            and mode in self.SUPPORTED_MODES
+            mode in self.SUPPORTED_MODES
             and default_buffer_bytes is None
             and (faults is None or faults.is_empty())
             and (
@@ -277,21 +261,21 @@ class VectorizedBackend(SimBackend):
         if not len(schedule):
             return Schedule()
         (
-            records,
-            ingress,
+            canon,
             off,
             hop_pkt,
             hop_port,
             hop_tx,
             hop_prop,
             hop_sum,
+            hop_node,
             num_ports,
         ) = _flatten(topology, schedule)
-        n = len(records)
+        n = len(canon)
 
         # ---- header initialization -> per-mode scheduler keys ----
         slack, priority, deadline, vectors = _initialize_headers(
-            initializer, records, topology, mode, off, hop_sum
+            initializer, canon, topology, mode, off, hop_sum
         )
         hop_key: Optional[List[float]] = None
         if mode == "lstf":
@@ -331,17 +315,17 @@ class VectorizedBackend(SimBackend):
                     # EdfScheduler.key: deadline - tmin_remaining + tx.
                     hop_key.append(target - tmin_remaining + hop_tx[base + k])
 
-        # ---- run + rebuild the schedule keyed by original packet ids ----
-        # The loop and the rebuild allocate hundreds of thousands of
-        # non-cyclic objects (heap tuples, HopTiming, PacketRecord); pausing
-        # the cycle collector around them avoids repeated gen-0 scans of an
-        # ever-growing live set.  Refcounting still frees everything.
+        # ---- run; the result is the kernel's arrays as columns ----
+        # The loop allocates hundreds of thousands of non-cyclic heap
+        # tuples; pausing the cycle collector around it avoids repeated
+        # gen-0 scans of an ever-growing live set.  Refcounting still frees
+        # everything.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             arr, start, dep, egress, executed = self._kernel(
-                ingress,
+                canon.ingress_time,
                 off,
                 hop_pkt,
                 hop_port,
@@ -352,50 +336,40 @@ class VectorizedBackend(SimBackend):
                 hop_key,
                 max_events=max_events,
             )
-            Simulator.events_executed_total += executed
-
-            replayed = Schedule()
-            add = replayed._records.__setitem__  # ids unique per records()
-            make_hop = HopTiming
-            make_record = PacketRecord
-            for j, record in enumerate(records):
-                out_time = egress[j]
-                if out_time is None:  # still in flight when max_events hit
-                    continue
-                path = record.path
-                base = off[j]
-                end = off[j + 1]
-                # map() stops at the shortest iterable: the slices carry one
-                # entry per transit node, so the destination (path[-1]) is
-                # naturally excluded.
-                hops = list(
-                    map(make_hop, path, arr[base:end], start[base:end], dep[base:end])
-                )
-                add(
-                    record.packet_id,
-                    make_record(
-                        record.packet_id,
-                        record.flow_id,
-                        record.src,
-                        record.dst,
-                        record.size_bytes,
-                        ingress[j],
-                        out_time,
-                        list(path),
-                        hops,
-                        record.flow_size_bytes,
-                        record.deadline,
-                    ),
-                )
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return replayed
+        Simulator.events_executed_total += executed
+
+        # Rows stay in canonical order and keep the original packet ids;
+        # every column but the output times and hop timings is shared.
+        replayed = FlatSchedule(
+            packet_id=canon.packet_id,
+            flow_id=canon.flow_id,
+            src=canon.src,
+            dst=canon.dst,
+            size_bytes=canon.size_bytes,
+            ingress_time=canon.ingress_time,
+            output_time=egress,
+            path=canon.path,
+            flow_size_bytes=canon.flow_size_bytes,
+            deadline=canon.deadline,
+            hop_off=off,
+            hop_node=hop_node,
+            hop_arrival=arr,
+            hop_start=start,
+            hop_departure=dep,
+        )
+        if None in egress:  # packets still in flight when max_events hit
+            replayed = replayed.take(
+                [j for j, out_time in enumerate(egress) if out_time is not None]
+            )
+        return Schedule.from_flat(replayed)
 
 
 def _initialize_headers(
     initializer: ReplayInitializer,
-    records,
+    canon: FlatSchedule,
     topology: Topology,
     mode: str,
     off: List[int],
@@ -403,14 +377,14 @@ def _initialize_headers(
 ):
     """Per-packet header state (slack, priority, deadline, hop vectors).
 
-    The shipped initializers are evaluated in batch with the exact float
-    expressions of their ``initialize`` methods (``None`` encoded as
-    ``math.inf``, which keys and decrements identically).  Any other
-    initializer runs for real, on real packets against a freshly built
-    network, in record order — slower, but behaviourally indistinguishable
-    from the python backend.
+    The shipped initializers are evaluated in batch over ``canon``'s
+    columns with the exact float expressions of their ``initialize``
+    methods (``None`` encoded as ``math.inf``, which keys and decrements
+    identically).  Any other initializer runs for real, on real records and
+    packets against a freshly built network, in canonical order — slower,
+    but behaviourally indistinguishable from the python backend.
     """
-    n = len(records)
+    n = len(canon)
     inf = math.inf
     slack: Optional[List[float]] = None
     priority: Optional[List[float]] = None
@@ -422,25 +396,24 @@ def _initialize_headers(
         # slack = o - i - tmin(path); deadline = o.  The tmin fold matches
         # Network.tmin_along: total += (tx + prop), link by link, forward
         # (hop_sum[f] is the elementwise tx + prop of hop f).
-        slack = []
-        deadline = []
-        for j, record in enumerate(records):
+        slack = [
             # reduce() drives the same left fold from C: ((0.0 + a) + b) + ...
-            tmin = _reduce(_add, hop_sum[off[j] : off[j + 1]], 0.0)
-            slack.append(record.output_time - record.ingress_time - tmin)
-            deadline.append(record.output_time)
+            output - ingress - _reduce(_add, hop_sum[off[j] : off[j + 1]], 0.0)
+            for j, (output, ingress) in enumerate(zip(canon.output_time, canon.ingress_time))
+        ]
+        deadline = list(canon.output_time)
     elif kind is OutputTimePriorityInitializer:
-        priority = [r.output_time for r in records]
+        priority = list(canon.output_time)
         deadline = list(priority)
     elif kind is OmniscientInitializer:
-        vectors = [r.hop_output_times() for r in records]
-        deadline = [r.output_time for r in records]
+        vectors = [canon.hop_output_times(j) for j in range(n)]
+        deadline = list(canon.output_time)
     elif kind is ZeroSlackInitializer:
         slack = [0.0] * n
-        deadline = [inf if r.deadline is None else r.deadline for r in records]
+        deadline = [inf if target is None else target for target in canon.deadline]
     elif kind is StaticDelaySlackInitializer:
         slack = [initializer.slack_seconds] * n
-        deadline = [inf if r.deadline is None else r.deadline for r in records]
+        deadline = [inf if target is None else target for target in canon.deadline]
     elif kind is DeadlineSlackInitializer:
         # Same min as the initializer's per-network cache takes over
         # network.links: full-duplex links share one bandwidth, so the
@@ -449,18 +422,18 @@ def _initialize_headers(
         fallback = initializer.no_deadline_slack
         slack = []
         deadline = []
-        for record in records:
-            target = record.deadline
+        for target, flow_bytes, size, ingress in zip(
+            canon.deadline, canon.flow_size_bytes, canon.size_bytes, canon.ingress_time
+        ):
             if target is None:
                 slack.append(fallback)
                 deadline.append(inf)
                 continue
-            flow_bytes = record.flow_size_bytes
             if flow_bytes is None:
-                flow_bytes = record.size_bytes
+                flow_bytes = size
             # Same float form as DeadlineSlackInitializer.initialize.
             residual = flow_bytes * 8 / bottleneck
-            slack.append(target - record.ingress_time - residual)
+            slack.append(target - ingress - residual)
             deadline.append(target)
     else:
         # Unknown initializer: run the real thing on real packets against a
@@ -476,7 +449,7 @@ def _initialize_headers(
         priority = []
         deadline = []
         vectors = []
-        for record in records:
+        for record in canon.iter_records():
             packet = Packet(
                 flow_id=record.flow_id,
                 src=record.src,
@@ -507,7 +480,7 @@ def _initialize_headers(
     if deadline is None:
         deadline = [inf] * n
     if vectors is None:
-        vectors = [[] for _ in range(n)]
+        vectors = [[]] * n  # read-only: one shared empty vector
     return slack, priority, deadline, vectors
 
 

@@ -15,6 +15,11 @@ Schedules come from three places:
   replay many" workflow persists recorded schedules as gzipped JSON-lines
   so replays (possibly in other processes) never re-record.
 
+A loaded schedule, like one produced by a flat replay backend, is stored as
+columns (:class:`FlatSchedule`) and builds :class:`PacketRecord` objects
+only when a caller asks for records; the warm replay path — load, flat
+replay, metrics — never does.
+
 The on-disk format (``repro-schedule/1``) is one JSON object per line: a
 header carrying free-form metadata (the pipeline stores the topology spec and
 the cache key there) followed by one line per :class:`PacketRecord`.  The
@@ -28,9 +33,8 @@ chunks stored as ordinary ``repro-schedule/1`` files
 canonical ``(ingress_time, packet_id)`` order.  Sharding is pure storage
 layout: it never enters cache keys, and :func:`load_schedule` returns the
 same schedule either way.  :func:`iter_schedule_records` cursors through
-either form one record at a time, so scale-tier consumers (the streaming
-injector, the flat-array kernels, the streaming metrics) never hold a whole
-schedule in memory.
+either form one file at a time, so scale-tier consumers (the streaming
+metrics) never hold a whole sharded schedule in memory.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ import gzip
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import partial
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter, itemgetter, le, methodcaller, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.packet import Packet
@@ -87,17 +94,6 @@ class HopTiming:
     def to_list(self) -> list:
         """Compact JSON form: ``[node, arrival, start_service, departure]``."""
         return [self.node, self.arrival_time, self.start_service_time, self.departure_time]
-
-    @classmethod
-    def from_list(cls, data: Sequence) -> "HopTiming":
-        """Inverse of :meth:`to_list`."""
-        node, arrival, start, departure = data
-        return cls(
-            node=node,
-            arrival_time=arrival,
-            start_service_time=start,
-            departure_time=departure,
-        )
 
 
 @dataclass(slots=True)
@@ -199,7 +195,10 @@ class PacketRecord:
     # Serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """JSON-serializable form of this record (lossless)."""
+        """JSON-serializable form of this record (lossless).
+
+        :func:`load_schedule` parses it back, straight into columns.
+        """
         return {
             "packet_id": self.packet_id,
             "flow_id": self.flow_id,
@@ -214,52 +213,221 @@ class PacketRecord:
             "deadline": self.deadline,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PacketRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            packet_id=data["packet_id"],
-            flow_id=data["flow_id"],
-            src=data["src"],
-            dst=data["dst"],
-            size_bytes=data["size_bytes"],
-            ingress_time=data["ingress_time"],
-            output_time=data["output_time"],
-            path=list(data["path"]),
-            hops=[HopTiming.from_list(hop) for hop in data["hops"]],
-            flow_size_bytes=data.get("flow_size_bytes"),
-            deadline=data.get("deadline"),
-        )
-
-
 # Canonical record order (ingress time, then packet id).  attrgetter builds
 # the key tuples in C — records() sits on the replay hot path, where the
 # equivalent lambda costs ~2.5x as much per sort.
 _RECORD_ORDER = attrgetter("ingress_time", "packet_id")
 
+#: Per-packet columns of a :class:`FlatSchedule`, named after the
+#: :class:`PacketRecord` fields (and the serialized record keys) they hold.
+#: The last two keys are optional in a serialized record.
+_PACKET_COLUMNS = (
+    "packet_id",
+    "flow_id",
+    "src",
+    "dst",
+    "size_bytes",
+    "ingress_time",
+    "output_time",
+    "path",
+    "flow_size_bytes",
+    "deadline",
+)
+_OPTIONAL_KEYS = ("flow_size_bytes", "deadline")
+
+#: Hop columns of a :class:`FlatSchedule`, in :meth:`HopTiming.to_list`
+#: order, and the :class:`HopTiming` fields they hold.
+_HOP_COLUMNS = ("hop_node", "hop_arrival", "hop_start", "hop_departure")
+_HOP_FIELDS = ("node", "arrival_time", "start_service_time", "departure_time")
+
+
+def _shared_routes(paths: Iterable[Sequence[str]]) -> List[Tuple[str, ...]]:
+    """``paths`` as tuples, one shared tuple per distinct route.
+
+    Traffic is flow-structured, so a schedule has few distinct routes; the
+    path column holds one pointer per packet instead of one list each.
+    """
+    routes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+    return [routes.setdefault(route, route) for route in map(tuple, paths)]
+
+
+@dataclass(eq=False)
+class FlatSchedule:
+    """A schedule stored as columns instead of per-packet objects.
+
+    Each packet column (``packet_id`` … ``deadline``, named after the
+    :class:`PacketRecord` field it holds) has one entry per packet, in row
+    order; paths are shared tuples, so routes can key dicts.  The hop columns
+    hold every packet's :class:`HopTiming` fields back to back: packet
+    ``j``'s hops are rows ``hop_off[j]:hop_off[j + 1]``.
+
+    Columns are read-only once built — a replayed schedule shares the id,
+    path and size columns of the schedule it replayed — so the derived
+    views (:meth:`index`, :meth:`queueing_delays`) are computed once.
+    """
+
+    packet_id: List[int] = field(default_factory=list)
+    flow_id: List[int] = field(default_factory=list)
+    src: List[str] = field(default_factory=list)
+    dst: List[str] = field(default_factory=list)
+    size_bytes: List[float] = field(default_factory=list)
+    ingress_time: List[float] = field(default_factory=list)
+    output_time: List[float] = field(default_factory=list)
+    path: List[Tuple[str, ...]] = field(default_factory=list)
+    flow_size_bytes: List[Optional[float]] = field(default_factory=list)
+    deadline: List[Optional[float]] = field(default_factory=list)
+    hop_off: List[int] = field(default_factory=lambda: [0])
+    hop_node: List[str] = field(default_factory=list)
+    hop_arrival: List[float] = field(default_factory=list)
+    hop_start: List[Optional[float]] = field(default_factory=list)
+    hop_departure: List[Optional[float]] = field(default_factory=list)
+    _index: Optional[Dict[int, int]] = field(default=None, init=False, repr=False)
+    _queueing: Optional[List[float]] = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "FlatSchedule":
+        """Columns of ``records``, in iteration order."""
+        records = list(records)
+        hop_lists = list(map(attrgetter("hops"), records))
+        hops = list(chain.from_iterable(hop_lists))
+        columns = {name: list(map(attrgetter(name), records)) for name in _PACKET_COLUMNS}
+        columns["path"] = _shared_routes(columns["path"])
+        for column, name in zip(_HOP_COLUMNS, _HOP_FIELDS):
+            columns[column] = list(map(attrgetter(name), hops))
+        columns["hop_off"] = list(accumulate(map(len, hop_lists), initial=0))
+        return cls(**columns)
+
+    def __len__(self) -> int:
+        return len(self.packet_id)
+
+    def index(self) -> Dict[int, int]:
+        """Row of each packet id (raises ``ValueError`` on a duplicate id)."""
+        if self._index is None:
+            ids = self.packet_id
+            index = dict(zip(ids, range(len(ids))))
+            if len(index) != len(ids):
+                seen: set = set()
+                duplicate = next(pid for pid in ids if pid in seen or seen.add(pid))
+                raise ValueError(f"duplicate packet id {duplicate} in schedule")
+            self._index = index
+        return self._index
+
+    def canonical_order(self) -> Optional[List[int]]:
+        """Rows in canonical ``(ingress_time, packet_id)`` order.
+
+        ``None`` when row order already is canonical — an O(n) check that
+        holds for every stored schedule, since files are written in that
+        order; only then is the sort paid.
+        """
+        keys = list(zip(self.ingress_time, self.packet_id))
+        if all(map(le, keys, islice(keys, 1, None))):
+            return None
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    def canonical(self) -> "FlatSchedule":
+        """This schedule with rows in canonical order (itself if already so)."""
+        order = self.canonical_order()
+        return self if order is None else self.take(order)
+
+    def take(self, rows: Sequence[int]) -> "FlatSchedule":
+        """A new flat schedule holding ``rows`` of this one, in that order."""
+        off = self.hop_off
+        spans = [slice(off[row], off[row + 1]) for row in rows]
+        columns = {
+            name: list(map(getattr(self, name).__getitem__, rows)) for name in _PACKET_COLUMNS
+        }
+        for name in _HOP_COLUMNS:
+            hops = map(getattr(self, name).__getitem__, spans)
+            columns[name] = list(chain.from_iterable(hops))
+        counts = (span.stop - span.start for span in spans)
+        columns["hop_off"] = list(accumulate(counts, initial=0))
+        return FlatSchedule(**columns)
+
+    def hop_output_times(self, row: int) -> List[float]:
+        """:meth:`PacketRecord.hop_output_times` of packet ``row``."""
+        starts = self.hop_start[self.hop_off[row] : self.hop_off[row + 1]]
+        return [start for start in starts if start is not None]
+
+    def queueing_delays(self) -> List[float]:
+        """Per-packet :attr:`PacketRecord.total_queueing_delay`, from the columns.
+
+        The same per-hop floats summed by the same built-in ``sum``, so
+        every entry is bit-identical to the record-level property.
+        """
+        if self._queueing is None:
+            arrivals, starts = self.hop_arrival, self.hop_start
+            if None in starts:
+                per_hop = [
+                    0.0 if start is None else start - arrival
+                    for arrival, start in zip(arrivals, starts)
+                ]
+            else:
+                per_hop = list(map(sub, starts, arrivals))
+            off = self.hop_off
+            spans = map(slice, off, islice(off, 1, None))
+            self._queueing = list(map(sum, map(per_hop.__getitem__, spans)))
+        return self._queueing
+
+    def iter_records(self) -> Iterator[PacketRecord]:
+        """Build one :class:`PacketRecord` per row, lazily, in row order."""
+        hops = map(HopTiming, self.hop_node, self.hop_arrival, self.hop_start, self.hop_departure)
+        off = self.hop_off
+        counts = map(sub, islice(off, 1, None), off)
+        return map(
+            PacketRecord,
+            self.packet_id,
+            self.flow_id,
+            self.src,
+            self.dst,
+            self.size_bytes,
+            self.ingress_time,
+            self.output_time,
+            map(list, self.path),
+            map(list, map(islice, repeat(hops), counts)),
+            self.flow_size_bytes,
+            self.deadline,
+        )
+
 
 class Schedule:
-    """A set of packet records indexed by packet id."""
+    """A set of packet records indexed by packet id.
+
+    A schedule is in one of two storage states.  A schedule built from
+    records (recorded, hand-built, or grown with :meth:`add`) holds them in
+    a dict, and builds its :class:`FlatSchedule` columns once, on the first
+    :meth:`flat` call.  A schedule loaded from disk or produced by a flat
+    replay backend holds only columns, and builds its :class:`PacketRecord`
+    objects once, on the first record-level access (iteration, ``get``,
+    ``record``, :meth:`records`).  Either way both views describe the same
+    records; :meth:`add` drops the columns, which are rebuilt on demand.
+    Records held by a schedule are treated as immutable, like the columns.
+    """
 
     def __init__(self, records: Optional[Iterable[PacketRecord]] = None) -> None:
-        self._records: Dict[int, PacketRecord] = {}
-        #: Mutation counter: bumped by every ``add``, so derived views (the
-        #: vectorized backend's per-schedule flattening cache) can detect
-        #: staleness exactly instead of guessing from lengths.
-        self._version = 0
+        self._records: Optional[Dict[int, PacketRecord]] = {}
+        self._flat: Optional[FlatSchedule] = None
         if records is not None:
             for record in records:
                 self.add(record)
+
+    @classmethod
+    def from_flat(cls, flat: FlatSchedule) -> "Schedule":
+        """A schedule backed by ``flat``; row order becomes insertion order."""
+        schedule = cls()
+        schedule._records = None
+        schedule._flat = flat
+        return schedule
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add(self, record: PacketRecord) -> None:
         """Insert a record (packet ids must be unique)."""
-        if record.packet_id in self._records:
+        records = self._record_map()
+        if record.packet_id in records:
             raise ValueError(f"duplicate packet id {record.packet_id} in schedule")
-        self._records[record.packet_id] = record
-        self._version += 1
+        records[record.packet_id] = record
+        self._flat = None
 
     @classmethod
     def from_packets(
@@ -288,28 +456,48 @@ class Schedule:
         return cls.from_packets(packets)
 
     # ------------------------------------------------------------------ #
+    # Storage views
+    # ------------------------------------------------------------------ #
+    def flat(self) -> FlatSchedule:
+        """The columnar view, rows in insertion order (built once)."""
+        if self._flat is None:
+            self._flat = FlatSchedule.from_records(self._records.values())
+        return self._flat
+
+    def _record_map(self) -> Dict[int, PacketRecord]:
+        """The record view, keyed by packet id (materialized once)."""
+        if self._records is None:
+            flat = self._flat
+            self._records = dict(zip(flat.packet_id, flat.iter_records()))
+        return self._records
+
+    # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
+        if self._records is None:
+            return len(self._flat)
         return len(self._records)
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return iter(self._records.values())
+        return iter(self._record_map().values())
 
     def __contains__(self, packet_id: int) -> bool:
+        if self._records is None:
+            return packet_id in self._flat.index()
         return packet_id in self._records
 
     def record(self, packet_id: int) -> PacketRecord:
         """The record for ``packet_id`` (raises ``KeyError`` if absent)."""
-        return self._records[packet_id]
+        return self._record_map()[packet_id]
 
     def get(self, packet_id: int) -> Optional[PacketRecord]:
         """The record for ``packet_id``, or ``None``."""
-        return self._records.get(packet_id)
+        return self._record_map().get(packet_id)
 
     def records(self) -> List[PacketRecord]:
         """All records, ordered by ingress time (then packet id)."""
-        return sorted(self._records.values(), key=_RECORD_ORDER)
+        return sorted(self._record_map().values(), key=_RECORD_ORDER)
 
     def canonical_records(self) -> List[PacketRecord]:
         """Records in the comparator's canonical order.
@@ -325,6 +513,8 @@ class Schedule:
 
     def packet_ids(self) -> List[int]:
         """All packet ids present in the schedule."""
+        if self._records is None:
+            return list(self._flat.packet_id)
         return list(self._records.keys())
 
     # ------------------------------------------------------------------ #
@@ -344,7 +534,7 @@ class Schedule:
 
     def time_span(self) -> Tuple[float, float]:
         """(earliest ingress, latest output) across all records."""
-        if not self._records:
+        if not len(self):
             return (0.0, 0.0)
         start = min(record.ingress_time for record in self)
         end = max(record.output_time for record in self)
@@ -518,8 +708,13 @@ def load_manifest(path: Union[str, "os.PathLike"]) -> dict:
     return manifest
 
 
-def _iter_single_file_records(path: str) -> Iterator[PacketRecord]:
-    """Yield the records of one ``repro-schedule/1`` file, validating the count."""
+@contextmanager
+def _open_schedule_file(path: str) -> Iterator[Tuple[io.TextIOBase, dict]]:
+    """Open a ``repro-schedule/1`` file: ``(stream past the header, header)``.
+
+    The one place a header is validated: an empty file or a foreign format
+    tag raises ``ValueError``.
+    """
     with _open_for_read(path) as stream:
         header_line = stream.readline()
         if not header_line:
@@ -529,15 +724,70 @@ def _iter_single_file_records(path: str) -> Iterator[PacketRecord]:
             raise ValueError(
                 f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
             )
-        count = 0
-        for line in stream:
-            if line.strip():
-                count += 1
-                yield PacketRecord.from_dict(json.loads(line))
+        yield stream, header
+
+
+#: Bytes of record lines decoded per batch: bounds the transient per-line
+#: dicts while keeping per-batch overhead negligible.
+_PARSE_BATCH_BYTES = 1 << 18
+
+
+def _parse_lines(lines: Sequence[str], flat: FlatSchedule) -> None:
+    """Append the records serialized in ``lines`` to ``flat``'s columns.
+
+    The only parser of record lines: each line is decoded once and its
+    fields go straight into columns, with no per-packet objects.  The batch
+    is decoded as one JSON array, one decoder call instead of one per line.
+    Missing required keys raise ``KeyError``; a line that does not hold
+    exactly one JSON value, or a hop that is not a four-field list, raises
+    ``ValueError``.
+    """
+    lines = [line for line in lines if not line.isspace()]
+    rows = json.loads("[" + ",".join(lines) + "]")
+    if len(rows) != len(lines):
+        raise ValueError("malformed record line: expected one JSON object per line")
+    for name in _PACKET_COLUMNS:
+        take = methodcaller("get", name) if name in _OPTIONAL_KEYS else itemgetter(name)
+        values = map(take, rows)
+        getattr(flat, name).extend(_shared_routes(values) if name == "path" else values)
+    hop_lists = list(map(itemgetter("hops"), rows))
+    hop_off = flat.hop_off
+    hop_off.extend(islice(accumulate(map(len, hop_lists), initial=hop_off[-1]), 1, None))
+    hops = list(chain.from_iterable(hop_lists))
+    if set(map(len, hops)) - {4}:
+        raise ValueError("malformed hop: expected [node, arrival, start, departure]")
+    for position, name in enumerate(_HOP_COLUMNS):
+        getattr(flat, name).extend(map(itemgetter(position), hops))
+
+
+def _read_schedule_file(path: str, flat: FlatSchedule) -> dict:
+    """Append one ``repro-schedule/1`` file's records to ``flat``; return its header.
+
+    Raises ``ValueError`` when the record count disagrees with the header
+    (a truncated file); a truncated gzip stream raises ``EOFError``.
+    """
+    before = len(flat)
+    with _open_schedule_file(path) as (stream, header):
+        for lines in iter(partial(stream.readlines, _PARSE_BATCH_BYTES), []):
+            _parse_lines(lines, flat)
+    count = len(flat) - before
     if count != header.get("packets", count):
         raise ValueError(
             f"{path}: header promises {header.get('packets')} packets, "
             f"found {count} (truncated file?)"
+        )
+    return header
+
+
+def _read_shard(manifest_path: str, shard: dict, flat: FlatSchedule) -> None:
+    """Append one manifest-listed shard to ``flat``, checking its count."""
+    shard_path = os.path.join(os.path.dirname(manifest_path) or ".", shard["file"])
+    before = len(flat)
+    _read_schedule_file(shard_path, flat)
+    if len(flat) - before != shard["packets"]:
+        raise ValueError(
+            f"{shard_path}: manifest promises {shard['packets']} packets, "
+            f"found {len(flat) - before} (truncated shard?)"
         )
 
 
@@ -550,16 +800,8 @@ def stored_schedule_packets(path: Union[str, "os.PathLike"]) -> int:
     path = os.fspath(path)
     if path.endswith(MANIFEST_SUFFIX):
         return load_manifest(path)["packets"]
-    with _open_for_read(path) as stream:
-        header_line = stream.readline()
-    if not header_line:
-        raise ValueError(f"{path}: empty schedule file")
-    header = json.loads(header_line)
-    if header.get("format") != SCHEDULE_FORMAT:
-        raise ValueError(
-            f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-        )
-    return int(header["packets"])
+    with _open_schedule_file(path) as (_, header):
+        return int(header["packets"])
 
 
 def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRecord]:
@@ -568,9 +810,10 @@ def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRec
     Works on both on-disk forms — a single ``repro-schedule/1`` file or a
     ``repro-schedule-manifest/1`` manifest (shards are visited in manifest
     order, which *is* canonical ``(ingress_time, packet_id)`` order) — and
-    holds one record at a time, never the whole schedule.  This is the
-    scale tier's read path: the streaming metrics and per-shard replay
-    cursors consume it directly.
+    holds one file's columns at a time, never the whole sharded schedule:
+    the cache writes any schedule larger than its shard size as shards, so
+    one file is bounded by that size.  This is the scale tier's read path:
+    the streaming metrics and per-shard replay cursors consume it directly.
 
     Raises the same errors as :func:`load_schedule` on malformed input:
     ``ValueError`` for truncated or foreign files, ``OSError`` (e.g.
@@ -578,63 +821,38 @@ def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRec
     lacks.
     """
     path = os.fspath(path)
-    if path.endswith(MANIFEST_SUFFIX):
-        manifest = load_manifest(path)
-        directory = os.path.dirname(path) or "."
-        for shard in manifest["shards"]:
-            shard_path = os.path.join(directory, shard["file"])
-            count = 0
-            for record in _iter_single_file_records(shard_path):
-                count += 1
-                yield record
-            if count != shard["packets"]:
-                raise ValueError(
-                    f"{shard_path}: manifest promises {shard['packets']} packets, "
-                    f"found {count} (truncated shard?)"
-                )
-    else:
-        yield from _iter_single_file_records(path)
+    if not path.endswith(MANIFEST_SUFFIX):
+        flat = FlatSchedule()
+        _read_schedule_file(path, flat)
+        yield from flat.iter_records()
+        return
+    for shard in load_manifest(path)["shards"]:
+        flat = FlatSchedule()
+        _read_shard(path, shard, flat)
+        yield from flat.iter_records()
 
 
 def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
     """Load a schedule written by :func:`save_schedule` or :func:`save_schedule_sharded`.
 
-    Manifest paths (ending in :data:`MANIFEST_SUFFIX`) load every shard and
-    return a schedule identical to the single-file form — shard layout is
-    storage, not content.
+    The schedule comes back columnar (see :class:`Schedule`): records are
+    parsed straight into a :class:`FlatSchedule`, and per-packet objects
+    are only built if a caller asks for them.  Manifest paths (ending in
+    :data:`MANIFEST_SUFFIX`) load every shard and return a schedule
+    identical to the single-file form — shard layout is storage, not
+    content.  A duplicate packet id raises ``ValueError``.
 
     Returns:
         ``(schedule, meta)`` where ``meta`` is the free-form metadata stored
         in the file's header line (the manifest's, for sharded schedules).
     """
     path = os.fspath(path)
+    flat = FlatSchedule()
     if path.endswith(MANIFEST_SUFFIX):
-        manifest = load_manifest(path)
-        schedule = Schedule()
-        for record in iter_schedule_records(path):
-            schedule.add(record)
-        if len(schedule) != manifest["packets"]:
-            raise ValueError(
-                f"{path}: manifest promises {manifest['packets']} packets, "
-                f"found {len(schedule)} (truncated shards?)"
-            )
-        return schedule, manifest.get("meta", {})
-    with _open_for_read(path) as stream:
-        header_line = stream.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty schedule file")
-        header = json.loads(header_line)
-        if header.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-            )
-        schedule = Schedule()
-        for line in stream:
-            if line.strip():
-                schedule.add(PacketRecord.from_dict(json.loads(line)))
-    if len(schedule) != header.get("packets", len(schedule)):
-        raise ValueError(
-            f"{path}: header promises {header.get('packets')} packets, "
-            f"found {len(schedule)} (truncated file?)"
-        )
-    return schedule, header.get("meta", {})
+        header = load_manifest(path)
+        for shard in header["shards"]:
+            _read_shard(path, shard, flat)
+    else:
+        header = _read_schedule_file(path, flat)
+    flat.index()
+    return Schedule.from_flat(flat), header.get("meta", {})

@@ -1,14 +1,20 @@
 """Schedule persistence: the JSON-lines round-trip must be lossless."""
 
+import dataclasses
 import json
+import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import ReplayMetrics, compare_schedules
 from repro.core.replay import evaluate_replay
 from repro.core.schedule import (
     SCHEDULE_FORMAT,
+    FlatSchedule,
     HopTiming,
     PacketRecord,
     Schedule,
@@ -106,8 +112,149 @@ class TestRoundTripProperty:
         ]
 
 
+def columns(flat):
+    """Every column of a FlatSchedule, by name."""
+    return {f.name: getattr(flat, f.name) for f in dataclasses.fields(flat) if f.init}
+
+
+def reference_compare(original, replay, threshold, tolerance=1e-9):
+    """compare_schedules as a record-level walk: the oracle for the columns."""
+    metrics = ReplayMetrics(threshold=threshold)
+    lateness_total = 0.0
+    deadline_flows = {}
+    for record in original:
+        metrics.total_packets += 1
+        replayed = replay.get(record.packet_id)
+        if record.deadline is not None:
+            entry = deadline_flows.setdefault(
+                record.flow_id, [record.deadline, -math.inf, -math.inf, False]
+            )
+            entry[1] = max(entry[1], record.output_time)
+            if replayed is None:
+                entry[3] = True
+            else:
+                entry[2] = max(entry[2], replayed.output_time)
+        if replayed is None:
+            metrics.missing_packets += 1
+            metrics.overdue_count += 1
+            metrics.overdue_beyond_threshold_count += 1
+            continue
+        lateness = replayed.output_time - record.output_time
+        if lateness > tolerance:
+            metrics.overdue_count += 1
+            if lateness > threshold:
+                metrics.overdue_beyond_threshold_count += 1
+            lateness_total += lateness
+            metrics.max_lateness = max(metrics.max_lateness, lateness)
+        if record.total_queueing_delay > 0:
+            metrics.queueing_delay_ratios.append(
+                replayed.total_queueing_delay / record.total_queueing_delay
+            )
+    for deadline, original_last, replay_last, missing in deadline_flows.values():
+        metrics.deadline_total += 1
+        if original_last <= deadline + tolerance:
+            metrics.deadline_met_original += 1
+        if not missing:
+            metrics.deadline_flows_delivered += 1
+            if replay_last <= deadline + tolerance:
+                metrics.deadline_met_replay += 1
+    if metrics.total_packets:
+        metrics.mean_lateness = lateness_total / metrics.total_packets
+    return metrics
+
+
+@st.composite
+def replays_of(draw, schedule):
+    """A replay-shaped schedule of ``schedule``: some packets missing, new times."""
+    records = []
+    for record in schedule:
+        if draw(st.booleans()):
+            continue
+        hops = [
+            HopTiming(hop.node, hop.arrival_time, draw(st.one_of(st.none(), finite)), None)
+            for hop in record.hops
+        ]
+        records.append(
+            dataclasses.replace(record, output_time=draw(finite), hops=hops)
+        )
+    return Schedule(draw(st.permutations(records)))
+
+
+def save_and_load(schedule, directory, name):
+    path = os.path.join(directory, name)
+    save_schedule(path, schedule)
+    loaded, _ = load_schedule(path)
+    return loaded
+
+
+class TestColumnarSchedule:
+    """Loaded and replayed schedules are columns; they must equal the records."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedule=schedules())
+    def test_columnar_load_equals_record_built(self, schedule):
+        # The strategy inserts records in drawn-id order, so insertion order
+        # is usually not canonical; files are written in canonical order.
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = save_and_load(schedule, tmp, "s.jsonl.gz")
+        canonical = schedule.records()
+        # repr() compares floats by their exact digits, NaN sums included.
+        assert repr(columns(loaded.flat())) == repr(columns(FlatSchedule.from_records(canonical)))
+        assert repr(columns(schedule.flat().canonical())) == repr(columns(loaded.flat()))
+        assert [r.packet_id for r in schedule.flat().iter_records()] == [
+            r.packet_id for r in schedule
+        ]
+        # Records materialize on first access, equal field by field —
+        # None hop start/departure times and None deadlines included.
+        assert loaded._records is None
+        assert list(loaded) == canonical
+        assert repr(loaded.flat().queueing_delays()) == repr(
+            [r.total_queueing_delay for r in canonical]
+        )
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data(), schedule=schedules(), threshold=finite)
+    def test_compare_on_columns_equals_record_walk(self, data, schedule, threshold):
+        replay = data.draw(replays_of(schedule))
+        expected = reference_compare(schedule, replay, threshold)
+        # repr() covers every field, the ratio list in order, and compares
+        # each float by its exact digits (NaN ratios included).
+        assert repr(compare_schedules(schedule, replay, threshold)) == repr(expected)
+        # Columnar inputs: compared before anything materializes records.
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = save_and_load(schedule, tmp, "o.jsonl")
+            loaded_replay = save_and_load(replay, tmp, "r.jsonl")
+        metrics = compare_schedules(loaded, loaded_replay, threshold)
+        assert loaded._records is None and loaded_replay._records is None
+        assert repr(metrics) == repr(reference_compare(loaded, loaded_replay, threshold))
+
+    def test_duplicate_packet_id_in_file_is_rejected(self, tmp_path):
+        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
+        path = tmp_path / "dup.jsonl"
+        save_schedule(path, Schedule([record]))
+        header, line = path.read_text().splitlines()
+        header = json.dumps({**json.loads(header), "packets": 2})
+        path.write_text("\n".join([header, line, line]) + "\n")
+        with pytest.raises(ValueError, match="duplicate packet id 1"):
+            load_schedule(path)
+
+    def test_malformed_hop_is_rejected(self, tmp_path):
+        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
+        data = record.to_dict()
+        data["hops"] = [["a", 0.0, 0.1]]
+        header = {"format": SCHEDULE_FORMAT, "packets": 1, "meta": {}}
+        path = tmp_path / "hop.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(data) + "\n")
+        with pytest.raises(ValueError, match="malformed hop"):
+            load_schedule(path)
+
+
 class TestPreDeadlineCompatibility:
-    def test_records_without_deadline_field_load_as_none(self):
+    def test_records_without_deadline_field_load_as_none(self, tmp_path):
         """Schedule files written before deadlines existed must still load."""
         data = PacketRecord(
             packet_id=1,
@@ -120,7 +267,12 @@ class TestPreDeadlineCompatibility:
             path=["a", "b"],
         ).to_dict()
         del data["deadline"]  # the pre-refactor on-disk shape
-        assert PacketRecord.from_dict(data).deadline is None
+        header = {"format": SCHEDULE_FORMAT, "packets": 1, "meta": {}}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(data) + "\n")
+        loaded, _ = load_schedule(path)
+        assert loaded.flat().deadline == [None]
+        assert loaded.record(1).deadline is None
 
 
 # --------------------------------------------------------------------- #

@@ -20,8 +20,9 @@ from repro.core.replay import (
     replay_schedule,
 )
 from repro.core.replay_compiled import CompiledBackend
+from repro.core.metrics import compare_schedules
 from repro.core.replay_vectorized import VectorizedBackend
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.schedule import HopTiming, PacketRecord, Schedule, load_schedule, save_schedule
 from repro.pipeline.scenario import PipelineConfigError
 from repro.sim.backend import backend_names, get_backend, resolve_backend
 from repro.sim.compiled import kernel_available
@@ -129,27 +130,41 @@ class TestGoldenEquivalence:
         )
         assert len(replayed) == 0
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["recorded", "loaded"])
     @pytest.mark.parametrize("backend", OPTIMIZED_BACKENDS)
     def test_max_events_budget_bit_identical(
-        self, fixture_topology, recorded_schedule, backend
+        self, fixture_topology, recorded_schedule, backend, loaded, tmp_path
     ):
-        """An exhausted event budget must strand the same in-flight packets."""
+        """An exhausted event budget must strand the same in-flight packets.
+
+        Run from the recorded schedule and from its columnar reload: the
+        flat backend must drop exactly the packets the reference leaves in
+        flight, and the metrics must count them as missing identically.
+        """
+        original = recorded_schedule
+        if loaded:
+            save_schedule(tmp_path / "s.jsonl.gz", recorded_schedule)
+            original, _ = load_schedule(tmp_path / "s.jsonl.gz")
         reference = replay_schedule(
             fixture_topology,
-            recorded_schedule,
+            original,
             mode="lstf",
             backend="python",
             max_events=500,
         )
         candidate = replay_schedule(
             fixture_topology,
-            recorded_schedule,
+            original,
             mode="lstf",
             backend=backend,
             max_events=500,
         )
+        threshold = fixture_topology.bottleneck_transmission_time(1000.0)
+        candidate_metrics = compare_schedules(original, candidate, threshold)
         assert rows(candidate) == rows(reference)
         assert len(reference) < len(recorded_schedule)
+        assert repr(candidate_metrics) == repr(compare_schedules(original, reference, threshold))
+        assert candidate_metrics.missing_packets == len(original) - len(reference)
 
 
 # --------------------------------------------------------------------- #
