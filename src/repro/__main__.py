@@ -115,19 +115,16 @@ def _load_schedule_file(path: str):
 
     Raises:
         _CLIError: missing or unreadable file, truncated gzip stream
-            (``EOFError``), malformed JSON lines (``ValueError``), or record
-            lines missing required fields (``KeyError``).
+            (``EOFError``), a file that is not ``repro-schedule/2`` or whose
+            columns are malformed (``ValueError``), or a manifest missing a
+            required field (``KeyError``).
     """
     from repro.core.schedule import load_schedule
 
     try:
         return load_schedule(path)
-    except (OSError, EOFError, ValueError) as error:
+    except (OSError, EOFError, ValueError, KeyError) as error:
         raise _CLIError(f"cannot load {path}: {error}") from error
-    except KeyError as error:
-        raise _CLIError(
-            f"cannot load {path}: record missing required field {error}"
-        ) from error
 
 
 def _scale(name: str):

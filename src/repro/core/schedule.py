@@ -20,15 +20,24 @@ columns (:class:`FlatSchedule`) and builds :class:`PacketRecord` objects
 only when a caller asks for records; the warm replay path — load, flat
 replay, metrics — never does.
 
-The on-disk format (``repro-schedule/1``) is one JSON object per line: a
-header carrying free-form metadata (the pipeline stores the topology spec and
-the cache key there) followed by one line per :class:`PacketRecord`.  The
-round-trip is lossless: floats are serialized with full ``repr`` precision,
-so a loaded schedule replays bit-identically to the in-memory original.
+The on-disk format (``repro-schedule/2``) stores those columns.  A header
+line carries free-form metadata (the pipeline stores the topology spec and
+the cache key there), the packet count, a ``nodes`` name table and a
+``routes`` table (each route a list of node indices).  Then comes one JSON
+line per :class:`FlatSchedule` column, rows in canonical ``(ingress_time,
+packet_id)`` order: ``{"column", "dtype", "nulls", "data"}``, where ``data``
+is the base64 of a little-endian array — float64 for times and sizes
+(``None`` rows listed in ``nulls``), int64 for ids and hop offsets, int32
+indices into the tables for node names and paths.  The round-trip is
+lossless: floats are stored as their raw bits, so a loaded schedule replays
+bit-identically to the in-memory original (an ``int`` in a float field
+reloads as the equal ``float``).  Files of the older one-object-per-record
+``repro-schedule/1`` format fail the header check; the schedule cache
+quarantines such an entry and re-records it once.
 
 Large schedules may instead be **sharded** (``repro-schedule-manifest/1``):
 a single-line JSON manifest (``<key>.manifest.json``) naming ingress-time
-chunks stored as ordinary ``repro-schedule/1`` files
+chunks stored as ordinary ``repro-schedule/2`` files
 (``<key>.shard-<i>.jsonl.gz``), each covering a contiguous slice of the
 canonical ``(ingress_time, packet_id)`` order.  Sharding is pure storage
 layout: it never enters cache keys, and :func:`load_schedule` returns the
@@ -45,16 +54,18 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from base64 import b64decode, b64encode
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, itemgetter, le, methodcaller, sub
+from operator import attrgetter, le, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
 
 #: Format tag written into the header line of serialized schedules.
-SCHEDULE_FORMAT = "repro-schedule/1"
+SCHEDULE_FORMAT = "repro-schedule/2"
 
 #: Format tag of the shard manifest for sharded schedules.
 MANIFEST_FORMAT = "repro-schedule-manifest/1"
@@ -195,10 +206,7 @@ class PacketRecord:
     # Serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """JSON-serializable form of this record (lossless).
-
-        :func:`load_schedule` parses it back, straight into columns.
-        """
+        """JSON-serializable form of this record (lossless)."""
         return {
             "packet_id": self.packet_id,
             "flow_id": self.flow_id,
@@ -219,8 +227,7 @@ class PacketRecord:
 _RECORD_ORDER = attrgetter("ingress_time", "packet_id")
 
 #: Per-packet columns of a :class:`FlatSchedule`, named after the
-#: :class:`PacketRecord` fields (and the serialized record keys) they hold.
-#: The last two keys are optional in a serialized record.
+#: :class:`PacketRecord` fields they hold.
 _PACKET_COLUMNS = (
     "packet_id",
     "flow_id",
@@ -233,7 +240,6 @@ _PACKET_COLUMNS = (
     "flow_size_bytes",
     "deadline",
 )
-_OPTIONAL_KEYS = ("flow_size_bytes", "deadline")
 
 #: Hop columns of a :class:`FlatSchedule`, in :meth:`HopTiming.to_list`
 #: order, and the :class:`HopTiming` fields they hold.
@@ -567,11 +573,36 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------- #
-# On-disk JSON-lines format
+# On-disk column format
 # ---------------------------------------------------------------------- #
+#: Little-endian dtype of every stored column, in file order.  Float
+#: columns are raw float64, so every value (``-0.0``, ``inf`` and NaN
+#: included) reloads bit-exact; node columns hold int32 indices into the
+#: header's ``nodes`` table, ``path`` into its ``routes`` table.
+_COLUMN_DTYPES = {
+    "packet_id": "<i8",
+    "flow_id": "<i8",
+    "src": "<i4",
+    "dst": "<i4",
+    "size_bytes": "<f8",
+    "ingress_time": "<f8",
+    "output_time": "<f8",
+    "path": "<i4",
+    "flow_size_bytes": "<f8",
+    "deadline": "<f8",
+    "hop_off": "<i8",
+    "hop_node": "<i4",
+    "hop_arrival": "<f8",
+    "hop_start": "<f8",
+    "hop_departure": "<f8",
+}
+_NODE_COLUMNS = ("src", "dst", "hop_node")
+_FLOAT = "<f8"
+
+
 def _open_for_write(path: str, compressed: bool) -> io.TextIOBase:
     if compressed:
-        return gzip.open(path, "wt", encoding="utf-8", compresslevel=5)
+        return gzip.open(path, "wt", encoding="utf-8", compresslevel=1)
     return open(path, "w", encoding="utf-8")
 
 
@@ -597,15 +628,55 @@ def _atomic_write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _schedule_lines(records: Sequence[PacketRecord], meta: Optional[dict]) -> Iterator[str]:
+def _column_line(name: str, values: list) -> str:
+    """One column as a JSON line: dtype, ``None`` rows, base64 of the array."""
+    dtype = _COLUMN_DTYPES[name]
+    nulls: List[int] = []
+    if dtype == _FLOAT and None in values:
+        nulls = [row for row, value in enumerate(values) if value is None]
+        values = [0.0 if value is None else value for value in values]
+    data = np.array(values, dtype=dtype).tobytes()
+    entry = {"column": name, "dtype": dtype, "nulls": nulls, "data": b64encode(data).decode()}
+    return json.dumps(entry) + "\n"
+
+
+def _schedule_lines(flat: FlatSchedule, meta: Optional[dict]) -> Iterator[str]:
+    """A ``repro-schedule/2`` file's lines: the header, then one per column."""
+    routes = list(dict.fromkeys(flat.path))
+    nodes = list(
+        dict.fromkeys(chain(flat.src, flat.dst, flat.hop_node, chain.from_iterable(routes)))
+    )
+    node_id = {node: row for row, node in enumerate(nodes)}.__getitem__
+    route_id = {route: row for row, route in enumerate(routes)}.__getitem__
     header = {
         "format": SCHEDULE_FORMAT,
-        "packets": len(records),
+        "packets": len(flat),
         "meta": meta or {},
+        "nodes": nodes,
+        "routes": [list(map(node_id, route)) for route in routes],
     }
     yield json.dumps(header) + "\n"
-    for record in records:
-        yield json.dumps(record.to_dict()) + "\n"
+    for name in _COLUMN_DTYPES:
+        values = getattr(flat, name)
+        if name in _NODE_COLUMNS:
+            values = list(map(node_id, values))
+        elif name == "path":
+            values = list(map(route_id, values))
+        yield _column_line(name, values)
+
+
+def _stored_flat(schedule: Schedule) -> FlatSchedule:
+    """``schedule``'s columns in canonical order, as they are stored.
+
+    A schedule holding one view is encoded through :meth:`Schedule.flat`,
+    which keeps the columns it builds, so the replay that follows a
+    recording does not flatten the records again.  A schedule holding both
+    (loaded, then materialized) is encoded from its records, as callers see
+    them.
+    """
+    if schedule._records is not None and schedule._flat is not None:
+        return FlatSchedule.from_records(schedule.records())
+    return schedule.flat().canonical()
 
 
 def save_schedule(
@@ -615,12 +686,13 @@ def save_schedule(
 ) -> None:
     """Serialize ``schedule`` to ``path`` (gzipped when the name ends in ``.gz``).
 
-    The write is atomic (temp file + ``os.replace``) so concurrent pipeline
+    Rows are written in canonical ``(ingress_time, packet_id)`` order.  The
+    write is atomic (temp file + ``os.replace``) so concurrent pipeline
     workers racing to populate the same cache entry cannot leave a truncated
     file behind.
     """
     path = os.fspath(path)
-    _atomic_write_lines(path, _schedule_lines(schedule.records(), meta))
+    _atomic_write_lines(path, _schedule_lines(_stored_flat(schedule), meta))
 
 
 def shard_file_name(manifest_path: Union[str, "os.PathLike"], index: int) -> str:
@@ -645,8 +717,8 @@ def save_schedule_sharded(
     """Serialize ``schedule`` as ingress-time shards plus a manifest.
 
     ``path`` must end in :data:`MANIFEST_SUFFIX`; shards land next to it as
-    ``<key>.shard-<i>.jsonl.gz``, each a self-contained ``repro-schedule/1``
-    file covering ``shard_packets`` consecutive records of the canonical
+    ``<key>.shard-<i>.jsonl.gz``, each a self-contained ``repro-schedule/2``
+    file covering ``shard_packets`` consecutive rows of the canonical
     ``(ingress_time, packet_id)`` order (so shard boundaries are ingress-time
     chunks and concatenating shards in manifest order reproduces the
     canonical stream exactly).  Every shard is written — atomically — before
@@ -658,11 +730,11 @@ def save_schedule_sharded(
     path = os.fspath(path)
     if shard_packets < 1:
         raise ValueError(f"shard_packets must be >= 1, got {shard_packets}")
-    records = schedule.records()
+    flat = _stored_flat(schedule)
     directory = os.path.dirname(path) or "."
     shards: List[dict] = []
-    for index, start in enumerate(range(0, len(records), shard_packets)):
-        chunk = records[start : start + shard_packets]
+    for index, start in enumerate(range(0, len(flat), shard_packets)):
+        chunk = flat.take(range(start, min(start + shard_packets, len(flat))))
         name = shard_file_name(path, index)
         _atomic_write_lines(
             os.path.join(directory, name),
@@ -672,13 +744,13 @@ def save_schedule_sharded(
             {
                 "file": name,
                 "packets": len(chunk),
-                "ingress_min": chunk[0].ingress_time,
-                "ingress_max": chunk[-1].ingress_time,
+                "ingress_min": chunk.ingress_time[0],
+                "ingress_max": chunk.ingress_time[-1],
             }
         )
     manifest = {
         "format": MANIFEST_FORMAT,
-        "packets": len(records),
+        "packets": len(flat),
         "meta": meta or {},
         "shards": shards,
     }
@@ -710,84 +782,124 @@ def load_manifest(path: Union[str, "os.PathLike"]) -> dict:
 
 @contextmanager
 def _open_schedule_file(path: str) -> Iterator[Tuple[io.TextIOBase, dict]]:
-    """Open a ``repro-schedule/1`` file: ``(stream past the header, header)``.
+    """Open a ``repro-schedule/2`` file: ``(stream past the header, header)``.
 
-    The one place a header is validated: an empty file or a foreign format
-    tag raises ``ValueError``.
+    The one place a header is validated: an empty file, a foreign format tag
+    (a ``repro-schedule/1`` file included) or a packet count that is not a
+    non-negative integer raises ``ValueError``.
     """
     with _open_for_read(path) as stream:
         header_line = stream.readline()
         if not header_line:
             raise ValueError(f"{path}: empty schedule file")
         header = json.loads(header_line)
-        if header.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-            )
+        if not isinstance(header, dict) or header.get("format") != SCHEDULE_FORMAT:
+            found = header.get("format") if isinstance(header, dict) else None
+            raise ValueError(f"{path}: not a {SCHEDULE_FORMAT} file (format={found!r})")
+        packets = header.get("packets")
+        if type(packets) is not int or packets < 0:
+            raise ValueError(f"{path}: header packet count {packets!r} is not a count")
         yield stream, header
 
 
-#: Bytes of record lines decoded per batch: bounds the transient per-line
-#: dicts while keeping per-batch overhead negligible.
-_PARSE_BATCH_BYTES = 1 << 18
+def _indices(path: str, name: str, array, table: Sequence) -> list:
+    """The ``table`` entries that ``array`` indexes, range-checked."""
+    if len(array) and not (0 <= array.min() and array.max() < len(table)):
+        raise ValueError(f"{path}: column {name!r} indexes past its {len(table)}-entry table")
+    return list(map(table.__getitem__, array.tolist()))
 
 
-def _parse_lines(lines: Sequence[str], flat: FlatSchedule) -> None:
-    """Append the records serialized in ``lines`` to ``flat``'s columns.
+def _decode_columns(path: str, stream: io.TextIOBase, header: dict) -> Dict[str, list]:
+    """Decode the column lines after ``header`` into lists, fully checked.
 
-    The only parser of record lines: each line is decoded once and its
-    fields go straight into columns, with no per-packet objects.  The batch
-    is decoded as one JSON array, one decoder call instead of one per line.
-    Missing required keys raise ``KeyError``; a line that does not hold
-    exactly one JSON value, or a hop that is not a four-field list, raises
-    ``ValueError``.
+    Every column must appear exactly once with its own dtype, hold
+    ``packets`` rows (``packets + 1`` for ``hop_off``, ``hop_off[-1]`` for the
+    hop columns) and index only into the header's tables; anything else
+    raises ``ValueError``.
     """
-    lines = [line for line in lines if not line.isspace()]
-    rows = json.loads("[" + ",".join(lines) + "]")
-    if len(rows) != len(lines):
-        raise ValueError("malformed record line: expected one JSON object per line")
-    for name in _PACKET_COLUMNS:
-        take = methodcaller("get", name) if name in _OPTIONAL_KEYS else itemgetter(name)
-        values = map(take, rows)
-        getattr(flat, name).extend(_shared_routes(values) if name == "path" else values)
-    hop_lists = list(map(itemgetter("hops"), rows))
-    hop_off = flat.hop_off
-    hop_off.extend(islice(accumulate(map(len, hop_lists), initial=hop_off[-1]), 1, None))
-    hops = list(chain.from_iterable(hop_lists))
-    if set(map(len, hops)) - {4}:
-        raise ValueError("malformed hop: expected [node, arrival, start, departure]")
-    for position, name in enumerate(_HOP_COLUMNS):
-        getattr(flat, name).extend(map(itemgetter(position), hops))
+    arrays: Dict[str, Tuple[object, list]] = {}
+    for line in stream:
+        entry = json.loads(line)
+        name = entry["column"]
+        dtype = _COLUMN_DTYPES.get(name)
+        if dtype is None or name in arrays:
+            raise ValueError(f"{path}: unexpected column {name!r}")
+        if entry["dtype"] != dtype:
+            raise ValueError(
+                f"{path}: column {name!r} has dtype {entry['dtype']!r}, expected {dtype!r}"
+            )
+        nulls = entry["nulls"]
+        if nulls and dtype != _FLOAT:
+            raise ValueError(f"{path}: column {name!r} cannot hold nulls")
+        data = np.frombuffer(b64decode(entry["data"], validate=True), dtype=dtype)
+        arrays[name] = (data, nulls)
+    missing = [name for name in _COLUMN_DTYPES if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {missing} (truncated file?)")
+
+    packets = header["packets"]
+    hop_off = arrays["hop_off"][0]
+    if len(hop_off) != packets + 1 or hop_off[0] != 0 or (np.diff(hop_off) < 0).any():
+        raise ValueError(f"{path}: column 'hop_off' is not {packets + 1} ascending offsets")
+    hops = int(hop_off[-1])
+    nodes = header["nodes"]
+    routes = header["routes"]
+    for route in routes:
+        if not all(type(node) is int and 0 <= node < len(nodes) for node in route):
+            raise ValueError(f"{path}: route {route!r} indexes past the node table")
+    routes = [tuple(map(nodes.__getitem__, route)) for route in routes]
+    columns: Dict[str, list] = {}
+    for name, (data, nulls) in arrays.items():
+        rows = hops if name in _HOP_COLUMNS else packets + (name == "hop_off")
+        if len(data) != rows:
+            raise ValueError(
+                f"{path}: column {name!r} holds {len(data)} rows, expected {rows} "
+                "(truncated file?)"
+            )
+        if name in _NODE_COLUMNS:
+            values = _indices(path, name, data, nodes)
+        elif name == "path":
+            values = _indices(path, name, data, routes)
+        else:
+            values = data.tolist()
+        for row in nulls:
+            if type(row) is not int or not 0 <= row < rows:
+                raise ValueError(f"{path}: column {name!r} has null row {row!r} out of range")
+            values[row] = None
+        columns[name] = values
+    return columns
 
 
 def _read_schedule_file(path: str, flat: FlatSchedule) -> dict:
-    """Append one ``repro-schedule/1`` file's records to ``flat``; return its header.
+    """Append one ``repro-schedule/2`` file's rows to ``flat``; return its header.
 
-    Raises ``ValueError`` when the record count disagrees with the header
-    (a truncated file); a truncated gzip stream raises ``EOFError``.
+    The only schedule reader.  Malformed content — a missing, duplicate,
+    mistyped or wrong-length column, a bad table index — raises
+    ``ValueError`` (a column cut short by truncation is one of these); a
+    truncated gzip stream raises ``EOFError``.
     """
-    before = len(flat)
     with _open_schedule_file(path) as (stream, header):
-        for lines in iter(partial(stream.readlines, _PARSE_BATCH_BYTES), []):
-            _parse_lines(lines, flat)
-    count = len(flat) - before
-    if count != header.get("packets", count):
-        raise ValueError(
-            f"{path}: header promises {header.get('packets')} packets, "
-            f"found {count} (truncated file?)"
-        )
+        try:
+            columns = _decode_columns(path, stream, header)
+        except (KeyError, TypeError) as error:
+            raise ValueError(
+                f"{path}: malformed column line ({type(error).__name__}: {error})"
+            ) from error
+    # The file's hop offsets continue after the hops already in ``flat``.
+    columns["hop_off"] = map(flat.hop_off[-1].__add__, islice(columns["hop_off"], 1, None))
+    for name, values in columns.items():
+        getattr(flat, name).extend(values)
     return header
 
 
 def _read_shard(manifest_path: str, shard: dict, flat: FlatSchedule) -> None:
     """Append one manifest-listed shard to ``flat``, checking its count."""
     shard_path = os.path.join(os.path.dirname(manifest_path) or ".", shard["file"])
-    before = len(flat)
-    _read_schedule_file(shard_path, flat)
-    if len(flat) - before != shard["packets"]:
+    header = _read_schedule_file(shard_path, flat)
+    if header["packets"] != shard["packets"]:
         raise ValueError(
             f"{shard_path}: manifest promises {shard['packets']} packets, "
-            f"found {len(flat) - before} (truncated shard?)"
+            f"found {header['packets']} (truncated shard?)"
         )
 
 
@@ -795,19 +907,19 @@ def stored_schedule_packets(path: Union[str, "os.PathLike"]) -> int:
     """Packet count of a stored schedule, read from its header/manifest only.
 
     Costs one line of I/O regardless of schedule size — how shard planners
-    size their partitions without touching any record data.
+    size their partitions without touching any column data.
     """
     path = os.fspath(path)
     if path.endswith(MANIFEST_SUFFIX):
         return load_manifest(path)["packets"]
     with _open_schedule_file(path) as (_, header):
-        return int(header["packets"])
+        return header["packets"]
 
 
 def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRecord]:
     """Cursor through a stored schedule's records in canonical order.
 
-    Works on both on-disk forms — a single ``repro-schedule/1`` file or a
+    Works on both on-disk forms — a single ``repro-schedule/2`` file or a
     ``repro-schedule-manifest/1`` manifest (shards are visited in manifest
     order, which *is* canonical ``(ingress_time, packet_id)`` order) — and
     holds one file's columns at a time, never the whole sharded schedule:
@@ -835,12 +947,12 @@ def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRec
 def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
     """Load a schedule written by :func:`save_schedule` or :func:`save_schedule_sharded`.
 
-    The schedule comes back columnar (see :class:`Schedule`): records are
-    parsed straight into a :class:`FlatSchedule`, and per-packet objects
-    are only built if a caller asks for them.  Manifest paths (ending in
-    :data:`MANIFEST_SUFFIX`) load every shard and return a schedule
-    identical to the single-file form — shard layout is storage, not
-    content.  A duplicate packet id raises ``ValueError``.
+    The schedule comes back columnar (see :class:`Schedule`): each column
+    is decoded straight into a :class:`FlatSchedule` list, and per-packet
+    objects are only built if a caller asks for them.  Manifest paths
+    (ending in :data:`MANIFEST_SUFFIX`) load every shard and return a
+    schedule identical to the single-file form — shard layout is storage,
+    not content.  A duplicate packet id raises ``ValueError``.
 
     Returns:
         ``(schedule, meta)`` where ``meta`` is the free-form metadata stored

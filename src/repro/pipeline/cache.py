@@ -12,11 +12,14 @@ Two layers:
 
 * an in-memory dict (always on), so replay modes sharing a schedule within
   one process never touch disk;
-* an optional on-disk layer (gzipped JSON-lines via
-  :func:`repro.core.schedule.save_schedule`), shared between pool workers and
-  across CLI invocations.  Writes are atomic, so workers racing to populate
-  the same entry at worst duplicate the recording work — they can never
-  corrupt an entry.
+* an optional on-disk layer, shared between pool workers and across CLI
+  invocations.  Each entry is a gzipped ``repro-schedule/2`` file (a header
+  plus one typed column per line, see :mod:`repro.core.schedule`), or a
+  manifest plus shards of them for large schedules.  Writes are atomic, so
+  workers racing to populate the same entry at worst duplicate the
+  recording work — they can never corrupt an entry.  An entry that cannot
+  be read — corrupt, or written in the older ``repro-schedule/1`` format —
+  is quarantined and re-recorded once.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ import logging
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.schedule import (
     MANIFEST_SUFFIX,
     Schedule,
+    load_manifest,
     load_schedule,
     save_schedule,
     save_schedule_sharded,
+    stored_schedule_packets,
 )
 from repro.topology.base import Topology
 from repro.traffic.workload import WorkloadSpec
@@ -160,11 +165,19 @@ class ScheduleCache:
             also the per-shard chunk size.  Pure storage layout — cache
             *keys* never depend on it (pinned by the golden-key test) and
             lookups transparently accept either on-disk form.
+        recorded_keys: Keys already recorded during the current run by
+            another process (a pool worker's cache gets the keys its run's
+            record phase writes), so serving them is not counted as a hit.
 
     Attributes:
-        hits: Number of ``get_or_record`` calls served from memory or disk.
+        hits: Number of ``get_or_record`` calls served by an entry that
+            existed before the run — from disk, or from memory after such a
+            load.  Lookups of a key recorded during the run (by this cache
+            or, per ``recorded_keys``, by another process) are not hits, so
+            a run counts the same hits serially and on a pool.
         misses: Number of calls that had to record (i.e. run the original
             simulation).  A warm cache reports ``misses == 0``.
+        recorded_keys: Every key recorded during the run so far.
     """
 
     def __init__(
@@ -172,6 +185,7 @@ class ScheduleCache:
         root: Optional[Union[str, os.PathLike]] = None,
         memory_entries: Optional[int] = 8,
         shard_packets: int = DEFAULT_SHARD_PACKETS,
+        recorded_keys: Iterable[str] = (),
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.memory_entries = memory_entries
@@ -181,6 +195,7 @@ class ScheduleCache:
         self._memory: "OrderedDict[str, Schedule]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.recorded_keys = set(recorded_keys)
         self.corrupt_entries = 0
 
     def _remember(self, key: str, schedule: Schedule) -> None:
@@ -223,6 +238,30 @@ class ScheduleCache:
             return True
         return self.entry_path(key) is not None
 
+    def has_readable_entry(self, key: str) -> bool:
+        """Whether ``key``'s on-disk entry exists and its header reads.
+
+        Costs a line or two of I/O: the header (for a sharded entry, the
+        manifest and its first shard's header).  An entry whose header does
+        not read — corrupt, or of an older format such as
+        ``repro-schedule/1`` — is quarantined here, as a lookup would do,
+        so a planner can record the key once instead of leaving every later
+        lookup to find it broken.  Damage past the header is still found
+        only by a lookup.
+        """
+        stored = self.entry_path(key)
+        if stored is None:
+            return False
+        try:
+            stored_schedule_packets(stored)
+            if stored.name.endswith(MANIFEST_SUFFIX):
+                for shard in load_manifest(stored)["shards"][:1]:
+                    stored_schedule_packets(stored.parent / shard["file"])
+        except (OSError, EOFError, ValueError, KeyError) as error:
+            self._quarantine(stored, error)
+            return False
+        return True
+
     def __len__(self) -> int:
         return len(self._memory)
 
@@ -242,8 +281,9 @@ class ScheduleCache:
     ) -> Tuple[Schedule, str]:
         """Fetch the schedule for this cell, recording it on first use.
 
-        A corrupt on-disk entry (truncated gzip, undecodable JSON, a packet
-        count that does not match its header) never aborts the run: the file
+        A corrupt on-disk entry (truncated gzip, undecodable JSON, a column
+        that does not match its header, or an entry of an older format such
+        as ``repro-schedule/1``) never aborts the run: the file
         is quarantined as ``<key>.jsonl.gz.corrupt``, a warning is logged,
         and the entry is re-recorded as if it had never existed.  A cache
         directory that cannot be written at all (read-only, disk full)
@@ -275,7 +315,7 @@ class ScheduleCache:
         schedule = self._memory.get(key)
         if schedule is not None:
             self._memory.move_to_end(key)
-            self.hits += 1
+            self._hit(key)
             return schedule, key
         stored = self.entry_path(key)
         if stored is not None:
@@ -285,10 +325,11 @@ class ScheduleCache:
                 self._quarantine(stored, error)
             else:
                 self._remember(key, schedule)
-                self.hits += 1
+                self._hit(key)
                 return schedule, key
         schedule = recorder()
         self.misses += 1
+        self.recorded_keys.add(key)
         self._remember(key, schedule)
         path = self.path_for(key)
         if path is not None:
@@ -327,6 +368,10 @@ class ScheduleCache:
                     error,
                 )
         return schedule, key
+
+    def _hit(self, key: str) -> None:
+        if key not in self.recorded_keys:
+            self.hits += 1
 
     def _quarantine(self, path: Path, error: Exception) -> None:
         """Move an unreadable cache entry aside so the run can re-record.

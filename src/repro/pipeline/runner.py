@@ -49,7 +49,8 @@ import signal
 import time
 import traceback as traceback_module
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -159,8 +160,11 @@ class RunSummary:
         cells: Total number of cells executed.
         workers: Worker processes used (1 = serial, in-process).
         wall_time: End-to-end wall-clock seconds.
-        cache_hits: Schedule-cache lookups served without recording.
-        cache_misses: Original schedules that had to be recorded.
+        cache_hits: Schedule-cache lookups served by an entry that existed
+            before the run (on disk, or loaded from there into memory).
+            Lookups of a schedule the run itself recorded are not hits, so
+            serial and pool runs report the same count.
+        cache_misses: Original schedules the run had to record.
         notes: Caveats about how the run was interpreted (e.g. experiments
             that could not honor a ``replicates`` request).
         errors: Cells that failed every retry round, as structured
@@ -184,14 +188,14 @@ class RunSummary:
 
     def format(self) -> str:
         """One-paragraph human-readable run summary."""
-        total = self.cache_hits + self.cache_misses
         completed = self.cells - len(self.errors)
+        warm = self.cache_hits and not self.cache_misses
         lines = [
             f"pipeline: {len(self.results)} experiment(s), {self.cells} cell(s), "
             f"{self.workers} worker(s), {self.wall_time:.2f}s wall-clock",
-            f"schedule cache: {self.cache_hits}/{total} hit(s), "
+            f"schedule cache: {self.cache_hits} hit(s) on existing entries, "
             f"{self.records_computed} schedule(s) recorded"
-            + (" (warm cache: nothing re-recorded)" if total and not self.cache_misses else ""),
+            + (" (warm cache: nothing re-recorded)" if warm else ""),
         ]
         if self.errors:
             lines.append(
@@ -253,9 +257,12 @@ def _worker_init(
     backend: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     shard_packets: int = DEFAULT_SHARD_PACKETS,
+    recorded_keys: Sequence[str] = (),
 ) -> None:
     global _WORKER_CACHE, _WORKER_TIMEOUT
-    _WORKER_CACHE = ScheduleCache(cache_dir, shard_packets=shard_packets)
+    _WORKER_CACHE = ScheduleCache(
+        cache_dir, shard_packets=shard_packets, recorded_keys=recorded_keys
+    )
     _WORKER_TIMEOUT = cell_timeout
     if backend is not None:
         # Workers resolve the run's engine through the same process-default
@@ -287,29 +294,30 @@ def _worker_run(
 
 def _worker_run_shard(
     payload: Tuple[int, int, ExperimentDef, Cell, "ExperimentScale", object]
-) -> Tuple[int, int, Union[object, _CellFailure]]:
+) -> Tuple[int, int, Union[object, _CellFailure], Tuple[int, int]]:
     """Phase-2 shard task: one shard of a shard-capable cell.
 
-    Returns ``(cell index, shard index, partial)`` — the partial is whatever
-    picklable value ``run_cell_shard`` produced (the driver merges them in
-    shard-index order) — or a captured :class:`_CellFailure`.
+    Returns ``(cell index, shard index, partial, (hits, misses))`` — the
+    partial is whatever picklable value ``run_cell_shard`` produced (the
+    driver merges them in shard-index order), or a captured
+    :class:`_CellFailure`; the counts are the shard's cache lookups.
     """
     from repro.sim.flow import reset_flow_ids
     from repro.sim.packet import reset_packet_ids
 
     index, shard_index, definition, cell, scale, shard = payload
-    assert _WORKER_CACHE is not None
+    cache = _WORKER_CACHE
+    assert cache is not None
     reset_packet_ids()
     reset_flow_ids()
+    hits_before, misses_before = cache.hits, cache.misses
     try:
         with _cell_deadline(_WORKER_TIMEOUT):
-            return (
-                index,
-                shard_index,
-                definition.run_cell_shard(cell, shard, scale, _WORKER_CACHE),
-            )
+            outcome = definition.run_cell_shard(cell, shard, scale, cache)
     except Exception as error:
-        return index, shard_index, _CellFailure.capture(error)
+        outcome = _CellFailure.capture(error)
+    counts = (cache.hits - hits_before, cache.misses - misses_before)
+    return index, shard_index, outcome, counts
 
 
 def _worker_record(payload: Tuple[str, Scenario]) -> Tuple[str, Union[int, _CellFailure]]:
@@ -354,14 +362,18 @@ def _worker_record(payload: Tuple[str, Scenario]) -> Tuple[str, Union[int, _Cell
 def _plan_records(
     tasks: Sequence[Tuple[ExperimentDef, Cell]], cache: ScheduleCache
 ) -> List[Tuple[str, Scenario]]:
-    """Unique (cache key, scenario) pairs whose schedules are not on disk yet.
+    """Unique (cache key, scenario) pairs with no readable entry on disk yet.
 
     Only cells whose spec is a :class:`Scenario` go through the schedule
     cache (direct-simulation cells carry other specs); those sharing one
     original schedule — across modes *and* across experiments — collapse to
-    a single entry, so phase 1 records each key exactly once.
+    a single entry, so phase 1 records each key exactly once.  An entry
+    whose header does not read (an older format, say) is quarantined here
+    and planned like a missing one, so it too is recorded once, not by
+    every phase-2 cell that shares it.
     """
     planned: "OrderedDict[str, Scenario]" = OrderedDict()
+    readable: set = set()
     key_by_scenario: Dict[Scenario, str] = {}
     for _, cell in tasks:
         scenario = cell.spec
@@ -373,7 +385,11 @@ def _plan_records(
         if key is None:
             key = scenario_cache_key(scenario)
             key_by_scenario[scenario] = key
-        if key not in planned and key not in cache:
+        if key in planned or key in readable:
+            continue
+        if cache.has_readable_entry(key):
+            readable.add(key)
+        else:
             planned[key] = scenario
     return list(planned.items())
 
@@ -683,6 +699,12 @@ def _run_parallel(
     cells, exactly as before; items that failed stay pending for the next
     round, items that succeeded never re-run.
 
+    A cell charged an attempt is one that ran to an outcome, or the only
+    cell lost when its pool broke.  When a broken pool takes several cells
+    down, no one of them can be blamed: they re-run at once, uncharged for
+    the break (see :func:`_rerun_casualties`), so the cell that kills its
+    worker is charged and the innocent ones complete.
+
     Fills ``cell_results`` in place; returns ``(records_computed, errors)``.
     """
     # Phase 1 (record): with a shared on-disk cache, record each missing
@@ -694,13 +716,26 @@ def _run_parallel(
         pending_records = OrderedDict(
             _plan_records(tasks, ScheduleCache(cache_dir, shard_packets=shard_packets))
         )
+    # Every worker cache knows which keys this run records, so serving one
+    # of them is not counted as a hit on an entry that predates the run.
+    planned = tuple(pending_records)
+    initargs = (cache_dir, backend, cell_timeout, shard_packets, planned)
     pending_cells: "OrderedDict[int, Tuple[ExperimentDef, Cell]]" = OrderedDict(
         (index, task) for index, task in enumerate(tasks)
     )
-    record_attempts: Dict[str, int] = {}
     cell_attempts: Dict[int, int] = {}
     cell_failures: Dict[int, _CellFailure] = {}
     records_computed = 0
+
+    def settle(index: int, outcome: Union[CellResult, _CellFailure]) -> None:
+        """Charge ``index`` one attempt and keep its result or failure."""
+        cell_attempts[index] = cell_attempts.get(index, 0) + 1
+        if isinstance(outcome, _CellFailure):
+            cell_failures[index] = outcome
+            return
+        cell_results[index] = outcome
+        pending_cells.pop(index, None)
+        cell_failures.pop(index, None)
 
     for round_index in range(max_retries + 1):
         if not pending_records and not pending_cells:
@@ -708,10 +743,9 @@ def _run_parallel(
         if round_index:
             time.sleep(retry_backoff * 2 ** (round_index - 1))
         pool_broken = False
+        casualties: Dict[int, BaseException] = {}
         with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(cache_dir, backend, cell_timeout, shard_packets),
+            max_workers=workers, initializer=_worker_init, initargs=initargs
         ) as pool:
             if pending_records:
                 record_futures = {
@@ -720,7 +754,6 @@ def _run_parallel(
                 }
                 for future in as_completed(record_futures):
                     key = record_futures[future]
-                    record_attempts[key] = record_attempts.get(key, 0) + 1
                     try:
                         _, outcome = future.result()
                     except Exception:
@@ -745,22 +778,31 @@ def _run_parallel(
                 # whole, exactly as before; completed cells leave the
                 # pending map, failures keep their captured traceback.
                 driver_cache = (
-                    ScheduleCache(cache_dir, shard_packets=shard_packets)
+                    ScheduleCache(
+                        cache_dir, shard_packets=shard_packets, recorded_keys=planned
+                    )
                     if cache_dir is not None
                     else None
                 )
                 cell_futures = {}
                 shard_futures: Dict[object, Tuple[int, int]] = {}
                 shard_partials: Dict[int, List[Optional[object]]] = {}
+                shard_counts: Dict[int, List[int]] = {}
                 for index, (definition, cell) in pending_cells.items():
                     shards: List[object] = []
                     if definition.supports_shards and driver_cache is not None:
+                        hits, misses = driver_cache.hits, driver_cache.misses
                         try:
                             shards = definition.cell_shards(cell, scale, driver_cache)
                         except Exception:
                             shards = []  # fall back to whole-cell execution
+                        # The planning lookups count toward the cell, as
+                        # they do when a serial run plans its shards.
+                        shard_counts[index] = [
+                            driver_cache.hits - hits,
+                            driver_cache.misses - misses,
+                        ]
                     if len(shards) > 1:
-                        cell_attempts[index] = cell_attempts.get(index, 0) + 1
                         shard_partials[index] = [None] * len(shards)
                         for shard_index, shard in enumerate(shards):
                             future = pool.submit(
@@ -775,50 +817,59 @@ def _run_parallel(
                 for future in as_completed(
                     list(cell_futures) + list(shard_futures)
                 ):
-                    if future in shard_futures:
-                        index, shard_index = shard_futures[future]
-                        try:
-                            _, _, outcome = future.result()
-                        except Exception as error:
-                            pool_broken = True
-                            cell_failures[index] = _CellFailure.capture(error)
-                            continue
-                        if isinstance(outcome, _CellFailure):
-                            cell_failures[index] = outcome
-                            continue
-                        shard_partials[index][shard_index] = outcome
-                        continue
-                    index = cell_futures[future]
-                    cell_attempts[index] = cell_attempts.get(index, 0) + 1
+                    index = (
+                        shard_futures[future][0] if future in shard_futures
+                        else cell_futures[future]
+                    )
                     try:
-                        _, outcome = future.result()
-                    except Exception as error:
-                        pool_broken = True
-                        cell_failures[index] = _CellFailure.capture(error)
+                        result = future.result()
+                    except BrokenProcessPool as error:
+                        # Not charged yet: any cell in flight may be the
+                        # one that killed the worker.
+                        casualties[index] = error
                         continue
+                    except Exception as error:  # a result that failed to unpickle
+                        failure = _CellFailure.capture(error)
+                        if future in cell_futures:
+                            settle(index, failure)
+                        else:
+                            cell_failures[index] = failure
+                        continue
+                    if future in cell_futures:
+                        settle(index, result[1])
+                        continue
+                    _, shard_index, outcome, counts = result
                     if isinstance(outcome, _CellFailure):
                         cell_failures[index] = outcome
                         continue
-                    cell_results[index] = outcome
-                    pending_cells.pop(index, None)
-                    cell_failures.pop(index, None)
+                    shard_partials[index][shard_index] = outcome
+                    shard_counts[index][0] += counts[0]
+                    shard_counts[index][1] += counts[1]
                 # Merge every sharded cell whose shards all completed.  A
                 # cell with any failed shard stays pending (its failure is
                 # recorded) and re-runs whole next round — partials are
                 # cheap relative to the recording they read from cache.
                 for index, partials in shard_partials.items():
-                    if index in cell_failures or any(p is None for p in partials):
+                    if index in casualties:
+                        continue
+                    if any(partial is None for partial in partials):
+                        cell_attempts[index] = cell_attempts.get(index, 0) + 1
                         continue
                     definition, cell = pending_cells[index]
                     try:
-                        cell_results[index] = definition.merge_shards(
-                            cell, scale, list(partials)
-                        )
+                        merged = definition.merge_shards(cell, scale, list(partials))
                     except Exception as error:
-                        cell_failures[index] = _CellFailure.capture(error)
+                        settle(index, _CellFailure.capture(error))
                         continue
-                    pending_cells.pop(index, None)
-                    cell_failures.pop(index, None)
+                    merged.cache_hits, merged.cache_misses = shard_counts[index]
+                    settle(index, merged)
+        if len(casualties) == 1:
+            [(index, error)] = casualties.items()
+            settle(index, _CellFailure.capture(error))
+        elif casualties:
+            rerun = {index: pending_cells[index] for index in sorted(casualties)}
+            for index, outcome in _rerun_casualties(rerun, scale, workers, initargs).items():
+                settle(index, outcome)
 
     errors = [
         _cell_error(cell, cell_failures.get(index), cell_attempts.get(index, 0))
@@ -830,6 +881,66 @@ def _run_parallel(
             "phase 1; dependent cells recorded in-worker or failed (see errors)"
         )
     return records_computed, errors
+
+
+def _rerun_casualties(
+    cells: Dict[int, Tuple[ExperimentDef, Cell]],
+    scale: "ExperimentScale",
+    workers: int,
+    initargs: tuple,
+) -> Dict[int, Union[CellResult, _CellFailure]]:
+    """Outcomes of ``cells``, which a broken pool took down, re-run whole.
+
+    The cells run in fresh pools of ``workers`` width, never more submitted
+    than there are workers, so a pool that breaks again loses only the
+    cells running in it, and the rest go on in the next pool.  A lone lost
+    cell killed its worker and gets that failure; when several are lost,
+    each re-runs alone in a one-worker pool, where a death is its own.
+    """
+    outcomes: Dict[int, Union[CellResult, _CellFailure]] = {}
+    queue = list(cells)
+    while queue:
+        lost: Dict[int, BaseException] = {}
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=initargs
+        ) as pool:
+            running: Dict[object, int] = {}
+            broken = False
+            while running or (queue and not broken):
+                while queue and not broken and len(running) < workers:
+                    definition, cell = cells[queue[0]]
+                    try:
+                        future = pool.submit(_worker_run, (queue[0], definition, cell, scale))
+                    except BrokenProcessPool:
+                        broken = True
+                        break
+                    running[future] = queue.pop(0)
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = running.pop(future)
+                    try:
+                        outcomes[index] = future.result()[1]
+                    except BrokenProcessPool as error:
+                        broken = True
+                        lost[index] = error
+                    except Exception as error:  # a result that failed to unpickle
+                        outcomes[index] = _CellFailure.capture(error)
+        if len(lost) == 1:
+            [(index, error)] = lost.items()
+            outcomes[index] = _CellFailure.capture(error)
+            continue
+        for index in lost:
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=_worker_init, initargs=initargs
+            ) as pool:
+                definition, cell = cells[index]
+                try:
+                    outcomes[index] = pool.submit(
+                        _worker_run, (index, definition, cell, scale)
+                    ).result()[1]
+                except Exception as error:
+                    outcomes[index] = _CellFailure.capture(error)
+    return outcomes
 
 
 # ---------------------------------------------------------------------- #

@@ -39,8 +39,8 @@ def unavailable_reason() -> Optional[str]:
     return (
         "the compiled kernel extension (repro.sim._kernel) is not built; "
         "build it with `python tools/build_compiled.py` (requires a C "
-        f"compiler and Python headers) or reinstall with `pip install -e "
-        f".[compiled]` — import failed with: {_IMPORT_ERROR}"
+        "compiler and Python headers) or reinstall with `pip install -e .` "
+        f"on a machine with a C toolchain — import failed with: {_IMPORT_ERROR}"
     )
 
 

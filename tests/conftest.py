@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import base64
+import gzip
+import json
+
+import numpy as np
 import pytest
 
 from repro.schedulers import uniform_factory
@@ -97,3 +102,33 @@ def make_flow(
 ) -> Flow:
     """Helper to build a flow."""
     return Flow(src=src, dst=dst, size_bytes=size_bytes, start_time=start_time)
+
+
+def read_schedule_file(path):
+    """A stored ``repro-schedule/2`` file as ``(header, {column: entry})``.
+
+    For tests that hand-edit stored schedules; entries keep file order.
+    """
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as stream:
+        header, *entries = map(json.loads, stream)
+    return header, {entry["column"]: entry for entry in entries}
+
+
+def write_schedule_file(path, header, columns):
+    """Write ``header`` and the ``columns`` entries back as a schedule file."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wt", encoding="utf-8") as stream:
+        for line in [header, *columns.values()]:
+            stream.write(json.dumps(line) + "\n")
+
+
+def column_values(entry):
+    """The values a column entry stores (nulls left as stored zeros)."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"]).tolist()
+
+
+def set_column(entry, values):
+    """Re-encode ``entry``'s data as ``values``, in its own dtype."""
+    data = np.array(values, dtype=entry["dtype"]).tobytes()
+    entry["data"] = base64.b64encode(data).decode()

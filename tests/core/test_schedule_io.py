@@ -1,4 +1,4 @@
-"""Schedule persistence: the JSON-lines round-trip must be lossless."""
+"""Schedule persistence: the ``repro-schedule/2`` round-trip must be lossless."""
 
 import dataclasses
 import json
@@ -13,18 +13,22 @@ from hypothesis import strategies as st
 from repro.core.metrics import ReplayMetrics, compare_schedules
 from repro.core.replay import evaluate_replay
 from repro.core.schedule import (
+    MANIFEST_SUFFIX,
     SCHEDULE_FORMAT,
     FlatSchedule,
     HopTiming,
     PacketRecord,
     Schedule,
+    iter_schedule_records,
     load_schedule,
     save_schedule,
+    save_schedule_sharded,
 )
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
 from repro.experiments import ExperimentScale
 from repro.topology.base import Topology, dumbbell_topology
+from tests.conftest import column_values, read_schedule_file, set_column, write_schedule_file
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -233,30 +237,175 @@ class TestColumnarSchedule:
         assert repr(metrics) == repr(reference_compare(loaded, loaded_replay, threshold))
 
     def test_duplicate_packet_id_in_file_is_rejected(self, tmp_path):
-        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
+        records = [
+            PacketRecord(pid, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"]) for pid in (1, 2)
+        ]
         path = tmp_path / "dup.jsonl"
-        save_schedule(path, Schedule([record]))
-        header, line = path.read_text().splitlines()
-        header = json.dumps({**json.loads(header), "packets": 2})
-        path.write_text("\n".join([header, line, line]) + "\n")
+        save_schedule(path, Schedule(records))
+        header, columns = read_schedule_file(path)
+        set_column(columns["packet_id"], [1, 1])
+        write_schedule_file(path, header, columns)
         with pytest.raises(ValueError, match="duplicate packet id 1"):
             load_schedule(path)
 
     def test_malformed_hop_is_rejected(self, tmp_path):
-        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
-        data = record.to_dict()
-        data["hops"] = [["a", 0.0, 0.1]]
-        header = {"format": SCHEDULE_FORMAT, "packets": 1, "meta": {}}
+        hop = HopTiming("a", 0.0, 0.1, 0.2)
+        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"], [hop])
         path = tmp_path / "hop.jsonl"
-        path.write_text(json.dumps(header) + "\n" + json.dumps(data) + "\n")
-        with pytest.raises(ValueError, match="malformed hop"):
+        save_schedule(path, Schedule([record]))
+        header, columns = read_schedule_file(path)
+        set_column(columns["hop_start"], [])
+        write_schedule_file(path, header, columns)
+        with pytest.raises(ValueError, match="column 'hop_start' holds 0 rows, expected 1"):
+            load_schedule(path)
+        set_column(columns["hop_start"], [0.1])
+        set_column(columns["hop_off"], [1, 1])
+        write_schedule_file(path, header, columns)
+        with pytest.raises(ValueError, match="'hop_off' is not 2 ascending offsets"):
             load_schedule(path)
 
 
-class TestPreDeadlineCompatibility:
-    def test_records_without_deadline_field_load_as_none(self, tmp_path):
-        """Schedule files written before deadlines existed must still load."""
-        data = PacketRecord(
+# --------------------------------------------------------------------- #
+# The repro-schedule/2 column format
+# --------------------------------------------------------------------- #
+#: Every float64 value, infinities and -0.0 included.
+any_float = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def wide_records(draw, packet_id):
+    """Records whose float fields range over infinities, -0.0 and None."""
+    record = draw(packet_records(packet_id))
+    hops = [
+        HopTiming(
+            hop.node,
+            draw(any_float),
+            draw(st.one_of(st.none(), any_float)),
+            draw(st.one_of(st.none(), any_float)),
+        )
+        for hop in record.hops
+    ]
+    return dataclasses.replace(
+        record,
+        flow_id=draw(st.integers(min_value=0, max_value=2**40)),
+        ingress_time=draw(any_float),
+        output_time=draw(any_float),
+        hops=hops,
+        flow_size_bytes=draw(st.one_of(st.none(), any_float)),
+        deadline=draw(st.one_of(st.none(), any_float)),
+    )
+
+
+@st.composite
+def wide_schedules(draw):
+    ids = draw(st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=12))
+    return Schedule([draw(wide_records(packet_id)) for packet_id in ids])
+
+
+class TestColumnFormat:
+    """`repro-schedule/2`: one typed column per line, bit-exact, fully checked."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedule=wide_schedules(), shard_packets=st.integers(min_value=1, max_value=5))
+    def test_round_trip_is_bit_exact_single_and_sharded(self, schedule, shard_packets):
+        # Insertion order is the drawn id order, usually not canonical.
+        expected = repr(columns(schedule.flat().canonical()))
+        with tempfile.TemporaryDirectory() as tmp:
+            single = save_and_load(schedule, tmp, "s.jsonl.gz")
+            manifest = os.path.join(tmp, "s" + MANIFEST_SUFFIX)
+            save_schedule_sharded(manifest, schedule, shard_packets=shard_packets)
+            sharded, _ = load_schedule(manifest)
+            cursor = list(iter_schedule_records(manifest))
+        # repr() compares every float by its digits: -0.0 and inf survive.
+        assert repr(columns(single.flat())) == expected
+        assert repr(columns(sharded.flat())) == expected
+        assert repr(cursor) == repr(schedule.records())
+
+    def test_layout_and_special_values(self, tmp_path):
+        hops = [HopTiming("a", -0.0, None, math.inf), HopTiming("s", 1.0, 1.5, None)]
+        record = PacketRecord(
+            2**40, 2**40 + 1, "a", "b", 1500.0, -0.0, math.inf, ["a", "s", "b"], hops
+        )
+        path = tmp_path / "s.jsonl.gz"
+        save_schedule(path, Schedule([record]), meta={"k": 1})
+        header, stored = read_schedule_file(path)
+        assert header["format"] == "repro-schedule/2" and header["packets"] == 1
+        assert header["nodes"] == ["a", "b", "s"]
+        assert header["routes"] == [[0, 2, 1]]
+        assert {name: entry["dtype"] for name, entry in stored.items()} == {
+            "packet_id": "<i8", "flow_id": "<i8", "src": "<i4", "dst": "<i4",
+            "size_bytes": "<f8", "ingress_time": "<f8", "output_time": "<f8",
+            "path": "<i4", "flow_size_bytes": "<f8", "deadline": "<f8",
+            "hop_off": "<i8", "hop_node": "<i4", "hop_arrival": "<f8",
+            "hop_start": "<f8", "hop_departure": "<f8",
+        }
+        assert column_values(stored["packet_id"]) == [2**40]
+        assert column_values(stored["hop_node"]) == [0, 2]
+        assert stored["hop_start"]["nulls"] == [0]
+        assert stored["deadline"]["nulls"] == [0]
+        loaded, meta = load_schedule(path)
+        assert meta == {"k": 1}
+        assert repr(loaded.record(2**40)) == repr(record)
+        assert math.copysign(1.0, loaded.flat().ingress_time[0]) == -1.0
+
+    def _saved(self, tmp_path):
+        record = PacketRecord(
+            1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"], [HopTiming("a", 0.0, 0.0, 0.5)]
+        )
+        path = tmp_path / "s.jsonl"
+        save_schedule(path, Schedule([record]))
+        return path, *read_schedule_file(path)
+
+    def test_wrong_length_column_is_rejected(self, tmp_path):
+        path, header, stored = self._saved(tmp_path)
+        set_column(stored["output_time"], [1.0, 2.0])
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="'output_time' holds 2 rows, expected 1"):
+            load_schedule(path)
+
+    def test_missing_column_is_rejected(self, tmp_path):
+        path, header, stored = self._saved(tmp_path)
+        del stored["src"]
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match=r"missing column\(s\) \['src'\]"):
+            load_schedule(path)
+
+    def test_unknown_dtype_is_rejected(self, tmp_path):
+        path, header, stored = self._saved(tmp_path)
+        stored["size_bytes"]["dtype"] = "<f4"
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="'size_bytes' has dtype '<f4'"):
+            load_schedule(path)
+
+    def test_bad_index_and_null_rows_are_rejected(self, tmp_path):
+        path, header, stored = self._saved(tmp_path)
+        set_column(stored["dst"], [7])
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="'dst' indexes past"):
+            load_schedule(path)
+        set_column(stored["dst"], [1])
+        stored["deadline"]["nulls"] = [-1]
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="null row -1"):
+            load_schedule(path)
+        stored["deadline"]["nulls"] = [0]
+        stored["packet_id"]["nulls"] = [0]
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="'packet_id' cannot hold nulls"):
+            load_schedule(path)
+
+    def test_malformed_column_line_is_a_value_error(self, tmp_path):
+        path, header, stored = self._saved(tmp_path)
+        del stored["flow_id"]["nulls"]
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="malformed column line"):
+            load_schedule(path)
+
+
+class TestNullColumns:
+    def test_none_deadlines_load_as_none(self, tmp_path):
+        """A schedule without deadlines stores them as nulls and reloads None."""
+        record = PacketRecord(
             packet_id=1,
             flow_id=1,
             src="a",
@@ -265,11 +414,12 @@ class TestPreDeadlineCompatibility:
             ingress_time=0.0,
             output_time=1.0,
             path=["a", "b"],
-        ).to_dict()
-        del data["deadline"]  # the pre-refactor on-disk shape
-        header = {"format": SCHEDULE_FORMAT, "packets": 1, "meta": {}}
-        path = tmp_path / "old.jsonl"
-        path.write_text(json.dumps(header) + "\n" + json.dumps(data) + "\n")
+        )
+        path = tmp_path / "nulls.jsonl"
+        save_schedule(path, Schedule([record]))
+        _, stored = read_schedule_file(path)
+        assert stored["deadline"]["nulls"] == [0]
+        assert stored["flow_size_bytes"]["nulls"] == [0]
         loaded, _ = load_schedule(path)
         assert loaded.flat().deadline == [None]
         assert loaded.record(1).deadline is None
@@ -282,7 +432,18 @@ class TestFileFormat:
     def test_rejects_non_schedule_files(self, tmp_path):
         path = tmp_path / "nope.jsonl"
         path.write_text(json.dumps({"format": "something-else"}) + "\n")
-        with pytest.raises(ValueError, match="not a repro-schedule/1 file"):
+        with pytest.raises(ValueError, match="not a repro-schedule/2 file"):
+            load_schedule(path)
+
+    def test_rejects_repro_schedule_1_files(self, tmp_path):
+        """The one-object-per-record format has no reader any more."""
+        header = {"format": "repro-schedule/1", "packets": 1, "meta": {}}
+        record = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"]).to_dict()
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(
+            ValueError, match=r"not a repro-schedule/2 file \(format='repro-schedule/1'\)"
+        ):
             load_schedule(path)
 
     def test_rejects_empty_files(self, tmp_path):
@@ -301,8 +462,15 @@ class TestFileFormat:
         path = tmp_path / "s.jsonl"
         save_schedule(path, schedule)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last record
+        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last column
         with pytest.raises(ValueError, match="truncated"):
+            load_schedule(path)
+        # A column cut short inside its data is caught by its row count.
+        save_schedule(path, schedule)
+        header, stored = read_schedule_file(path)
+        set_column(stored["ingress_time"], column_values(stored["ingress_time"])[:2])
+        write_schedule_file(path, header, stored)
+        with pytest.raises(ValueError, match="holds 2 rows, expected 3 \\(truncated"):
             load_schedule(path)
 
     def test_header_carries_format_tag(self, tmp_path):

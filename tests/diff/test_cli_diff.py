@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.core.schedule import load_schedule, save_schedule
 from repro.sim.backend import available_backend_names
+from tests.conftest import column_values, read_schedule_file, set_column, write_schedule_file
 
 
 @pytest.fixture(scope="module")
@@ -151,16 +152,48 @@ class TestReplayLoadErrors:
         assert "cannot load" in err and "end-of-stream" in err
 
     def test_record_missing_field_exit_2(self, recorded, tmp_path, capsys):
-        # A structurally valid file whose record lines lack packet_id used
-        # to escape as a KeyError traceback.
+        # A structurally valid file that lacks the packet_id column must
+        # exit 2 naming the column, never escape as a traceback.
         broken = tmp_path / "broken.jsonl.gz"
-        with gzip.open(recorded, "rt") as handle:
-            lines = handle.read().splitlines()
-        record = json.loads(lines[1])
-        record.pop("packet_id", None)
-        with gzip.open(broken, "wt") as handle:
-            handle.write(lines[0] + "\n")
-            handle.write(json.dumps(record) + "\n")
+        header, columns = read_schedule_file(recorded)
+        del columns["packet_id"]
+        write_schedule_file(broken, header, columns)
         assert cli_main(["replay", str(broken)]) == 2
         err = capsys.readouterr().err
         assert "cannot load" in err and "packet_id" in err
+
+
+def malformed(recorded, directory, how):
+    """A copy of ``recorded`` broken one way; returns its path and the expected message."""
+    header, columns = read_schedule_file(recorded)
+    if how == "wrong-length":
+        set_column(columns["output_time"], column_values(columns["output_time"])[:-1])
+        expected = "'output_time' holds"
+    elif how == "missing-column":
+        del columns["hop_arrival"]
+        expected = "missing column(s) ['hop_arrival']"
+    else:
+        columns["size_bytes"]["dtype"] = "<f4"
+        expected = "'size_bytes' has dtype '<f4'"
+    path = directory / f"{how}.jsonl.gz"
+    write_schedule_file(path, header, columns)
+    return str(path), expected
+
+
+class TestMalformedColumnsExit2:
+    """`replay` and `diff` exit 2 with the reader's message on broken columns."""
+
+    @pytest.mark.parametrize("how", ["wrong-length", "missing-column", "unknown-dtype"])
+    def test_replay_and_diff_exit_2(self, recorded, tmp_path, capsys, how):
+        path, expected = malformed(recorded, tmp_path, how)
+        for argv in (["replay", path], ["diff", recorded, path], ["diff", "--replay", path]):
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "cannot load" in err and expected in err, (argv, err)
+
+    def test_repro_schedule_1_file_exit_2(self, tmp_path, capsys):
+        old = tmp_path / "old.jsonl.gz"
+        with gzip.open(old, "wt") as handle:
+            handle.write(json.dumps({"format": "repro-schedule/1", "packets": 0}) + "\n")
+        assert cli_main(["replay", str(old)]) == 2
+        assert "not a repro-schedule/2 file" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Tests for the parallel experiment pipeline (scenarios, cache, runner, CLI)."""
 
+import gzip
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.core.schedule import load_schedule
 from repro.experiments import ExperimentScale, run_all
 from repro.pipeline import (
     REGISTRY,
@@ -101,13 +104,52 @@ class TestScheduleCache:
         other_load = self._scenario(utilization=0.6).workload()
         assert schedule_cache_key(topo, "random", other_load, 1) != base
 
-    def test_memory_layer_hits(self):
+    def test_memory_layer_hits(self, tmp_path):
+        # The memory layer serves a key this cache recorded without
+        # recording again, but that is no hit: no entry predated the run.
         cache = ScheduleCache()
         scenario = self._scenario()
         replay_scenario(scenario, cache=cache)
         assert cache.stats() == {"hits": 0, "misses": 1, "corrupt_entries": 0}
         replay_scenario(scenario, mode="priority", cache=cache)
-        assert cache.stats() == {"hits": 1, "misses": 1, "corrupt_entries": 0}
+        assert cache.stats() == {"hits": 0, "misses": 1, "corrupt_entries": 0}
+        # An entry loaded from disk did predate the run: its later lookups
+        # from memory are hits too.
+        replay_scenario(scenario, cache=ScheduleCache(tmp_path))
+        warm = ScheduleCache(tmp_path)
+        replay_scenario(scenario, cache=warm)
+        replay_scenario(scenario, mode="priority", cache=warm)
+        assert warm.stats() == {"hits": 2, "misses": 0, "corrupt_entries": 0}
+
+    def test_repro_schedule_1_entry_is_quarantined_and_re_recorded_once(self, tmp_path):
+        """Entries in the old one-object-per-record format are treated like
+        corrupt ones: each is quarantined and re-recorded once — by a pool
+        run as by a serial one, though replay modes share each key — and
+        the rows are unchanged."""
+        names = ["faults"]
+        clean_dir = tmp_path / "clean"
+        clean = run_pipeline(names, scale=SMOKE, cache_dir=str(clean_dir))
+        keys = len(list(clean_dir.rglob("*.jsonl.gz")))
+        assert clean.cells > keys > 1
+        counters = {}
+        for workers in (1, 2):
+            cache_dir = tmp_path / f"old-{workers}"
+            shutil.copytree(clean_dir, cache_dir)
+            for path in cache_dir.rglob("*.jsonl.gz"):
+                schedule, meta = load_schedule(path)
+                header = {"format": "repro-schedule/1", "packets": len(schedule), "meta": meta}
+                with gzip.open(path, "wt", encoding="utf-8") as stream:
+                    stream.write(json.dumps(header) + "\n")
+                    for record in schedule.records():
+                        stream.write(json.dumps(record.to_dict()) + "\n")
+            first = run_pipeline(names, scale=SMOKE, cache_dir=str(cache_dir), workers=workers)
+            counters[workers] = (first.cache_hits, first.cache_misses)
+            assert len(list(cache_dir.rglob("*.corrupt"))) == keys
+            assert first.results[names[0]].rows == clean.results[names[0]].rows
+            second = run_pipeline(names, scale=SMOKE, cache_dir=str(cache_dir), workers=workers)
+            assert second.records_computed == 0
+            assert second.results[names[0]].rows == clean.results[names[0]].rows
+        assert counters[1] == counters[2] == (0, keys)
 
     def test_disk_layer_survives_processes(self, tmp_path):
         scenario = self._scenario()
@@ -191,7 +233,36 @@ class TestRunner:
         # Two replay modes, one scenario: exactly one schedule recorded.
         assert summary.cells == 2
         assert summary.records_computed == 1
-        assert summary.cache_hits == 1
+        # The second mode is served the schedule the run itself recorded:
+        # not a hit, since no entry existed before the run.
+        assert summary.cache_hits == 0
+
+    @pytest.mark.parametrize(
+        "names, shard_packets",
+        [(["adversarial", "faults"], None), (["scale"], 50)],
+        ids=["adversarial+faults", "scale-sharded"],
+    )
+    def test_counters_equal_serial_and_parallel(self, tmp_path, names, shard_packets):
+        """A hit is a lookup served by an entry that predates the run, and a
+        miss a schedule the run records — the same counts on 1 or 2 workers,
+        on a cold and on a warm cache (sharded cells included)."""
+        counters = {}
+        for workers in (1, 2):
+            cache_dir = str(tmp_path / f"cache-{workers}")
+            for state in ("cold", "warm"):
+                summary = run_pipeline(
+                    names,
+                    scale=SMOKE,
+                    workers=workers,
+                    cache_dir=cache_dir,
+                    shard_packets=shard_packets,
+                )
+                assert not summary.errors
+                counters[workers, state] = (summary.cache_hits, summary.cache_misses)
+        assert counters[1, "cold"] == counters[2, "cold"]
+        assert counters[1, "warm"] == counters[2, "warm"]
+        assert counters[1, "cold"][0] == 0 and counters[1, "cold"][1] > 0
+        assert counters[1, "warm"][0] > 0 and counters[1, "warm"][1] == 0
 
     def test_replicates_expand_cells_and_keep_base_rows(self):
         single = run_pipeline(["ablation-edf"], scale=SMOKE, workers=1)

@@ -54,7 +54,10 @@ class ScriptedDef(ExperimentDef):
                 raise RuntimeError(f"scripted failure #{attempts}")
         if spec.get("sleep"):
             time.sleep(spec["sleep"])
-        return CellResult(cell=cell, row={"label": spec["label"]})
+        row = {"label": spec["label"]}
+        if spec.get("report_pid"):
+            row["pid"] = os.getpid()
+        return CellResult(cell=cell, row=row)
 
     def assemble(self, scale, results):
         return ExperimentResult(
@@ -163,6 +166,38 @@ class TestParallelHardening:
         assert error.label == "doomed"
         assert error.attempts == 2
         assert [row["label"] for row in summary.results["scripted"].rows] == ["survivor"]
+
+    def test_broken_pool_casualties_are_not_charged(self, tmp_path):
+        """A kill breaks the pool under every cell in flight; only the
+        killer is charged, and the bystander completes in the same round."""
+        reg = registry(
+            {"label": "doomed", "sentinel": str(tmp_path / "kill"), "fail_times": 99,
+             "kill": True},
+            {"label": "bystander", "sleep": 0.5},
+        )
+        summary = run(reg, workers=2, max_retries=0)
+        [error] = summary.errors
+        assert error.label == "doomed"
+        assert error.attempts == 1
+        assert [row["label"] for row in summary.results["scripted"].rows] == ["bystander"]
+
+    def test_queued_casualties_are_not_serialized(self, tmp_path):
+        """A kill also fails every cell still queued behind it; those re-run
+        side by side in a fresh pool, not each in a pool of its own."""
+        labels = [f"b{i}" for i in range(6)]
+        reg = registry(
+            {"label": "doomed", "sentinel": str(tmp_path / "kill"), "fail_times": 99,
+             "kill": True},
+            *({"label": label, "sleep": 0.2, "report_pid": True} for label in labels),
+        )
+        summary = run(reg, workers=2, max_retries=0)
+        [error] = summary.errors
+        assert error.label == "doomed"
+        assert error.attempts == 1
+        rows = summary.results["scripted"].rows
+        assert sorted(row["label"] for row in rows) == labels
+        # A pool per bystander would give each its own worker process.
+        assert len({row["pid"] for row in rows}) < len(labels)
 
     def test_parallel_timeout_enforced_in_workers(self):
         reg = registry({"label": "slow", "sleep": 5.0}, {"label": "fast"})
